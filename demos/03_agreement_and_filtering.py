@@ -10,11 +10,11 @@ from aggrescribe import (
     Corpus,
     SourceKind,
     Split,
-    SplitAssignment,
     TranscribedLine,
     Transcription,
     TranscriptionSource,
     agreement_score,
+    annotate_agreement,
     filter_by_agreement,
 )
 
@@ -23,39 +23,39 @@ PYLAIA = TranscriptionSource(SourceKind.AUTO_PYLAIA)
 DAN = TranscriptionSource(SourceKind.AUTO_DAN)
 
 
-def line(line_id, *texts):
+def line(line_id, split, *texts):
     sources = [HUMAN, HUMAN, PYLAIA, DAN][: len(texts)]
     return TranscribedLine(
         line_id=line_id,
         image_ref=f"images/{line_id}.png",
         transcriptions=tuple(Transcription(t, s) for t, s in zip(texts, sources)),
+        split=split,
     )
 
 
 corpus = Corpus(
     (
-        line("clean", "nomination des membres", "nomination des membres",
+        line("clean", Split.TEST, "nomination des membres", "nomination des membres",
              "nomination des membres", "nomination des membres"),
-        line("typo", "le receveur présente son rapport", "le receveur présente son rapport",
-             "le receveur presente son rapport", "le receveur présente son raport"),
-        line("messy", "adjudication des travaux", "les travaux de voirie",
+        line("typo", Split.TRAIN, "le receveur présente son rapport",
+             "le receveur présente son rapport", "le receveur presente son rapport",
+             "le receveur présente son raport"),
+        line("messy", Split.TRAIN, "adjudication des travaux", "les travaux de voirie",
              "adjudication travaux", "adjudmication des travaur"),
     )
 )
 
 print("Agreement scores:")
-scores = {}
 for entry in corpus:
-    scores[entry.line_id] = agreement_score(entry)
-    print(f"  {entry.line_id:<6} {scores[entry.line_id]:6.2f}")
+    print(f"  {entry.line_id:<6} {agreement_score(entry):6.2f}")
 
-# Filter the corpus at increasing thresholds; retention shrinks monotonically
-# and only train lines are ever dropped.
-splits = {lid: SplitAssignment(lid, Split.TRAIN) for lid in scores}
-splits["clean"] = SplitAssignment("clean", Split.TEST)
+# The filter reads each line's split and score from the line itself, so
+# annotate the scores first. Retention shrinks monotonically with the
+# threshold and only train lines are ever dropped.
+corpus = annotate_agreement(corpus)
 
 print("\nThreshold sweep (train lines retained):")
 for threshold in (0, 90, 97, 99):
-    kept = filter_by_agreement(corpus, scores, threshold, splits)
-    train_kept = [l.line_id for l in kept if splits[l.line_id].split is Split.TRAIN]
+    kept = filter_by_agreement(corpus, threshold)
+    train_kept = [l.line_id for l in kept if l.split is Split.TRAIN]
     print(f"  >= {threshold:>3}%: {train_kept} (+ test line 'clean' always kept)")

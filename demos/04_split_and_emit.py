@@ -33,20 +33,19 @@ corpus = corpus.map_lines(
 )
 
 # Identical human readings go to test, near-identical to validation.
-assignments = agreement_split(corpus)
-counts = split_counts(assignments.values())
+corpus = apply_split(corpus, agreement_split(corpus))
+counts = split_counts(line.split for line in corpus)
 total = len(corpus)
 print("\nAgreement-based split:")
 for split in (Split.TRAIN, Split.VALIDATION, Split.TEST):
     print(f"  {split.value:<5} {counts[split]:>3}  ({100 * counts[split] / total:.1f}%)")
-corpus = apply_split(corpus, assignments)
 
 # Each strategy expands train/validation lines differently; test lines always
 # emit exactly one human transcription.
 print("\nRecords emitted per strategy:")
 workdir = Path(tempfile.mkdtemp(prefix="aggrescribe_demo_"))
 for strategy in Strategy:
-    records = emit(corpus, assignments, strategy, seed=42)
+    records = emit(corpus, strategy, seed=42)
     out = workdir / strategy.value
     write_ground_truth(records, out)
     by_split = {

@@ -35,11 +35,8 @@ from .rasa import RasaSelection, distance_matrix, rasa_select, selected_transcri
 from .quality import agreement_score, annotate_agreement, filter_by_agreement
 from .splits import (
     SeededRng,
-    SplitAssignment,
-    SplitRule,
     agreement_split,
     apply_split,
-    assignments_from_corpus,
     random_split,
     split_counts,
 )
@@ -82,11 +79,8 @@ __all__ = [
     "annotate_agreement",
     "filter_by_agreement",
     "SeededRng",
-    "SplitAssignment",
-    "SplitRule",
     "agreement_split",
     "apply_split",
-    "assignments_from_corpus",
     "random_split",
     "split_counts",
     "EmissionRecord",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .corpus import (
     SourceKind,
@@ -23,7 +23,7 @@ from .corpus import (
     atomic_write_text,
     canonical_transcriptions,
 )
-from .splits import SeededRng, SplitAssignment
+from .splits import SeededRng
 
 
 class Strategy(Enum):
@@ -77,30 +77,25 @@ def _select(line: TranscribedLine, strategy: Strategy, rng: SeededRng) -> list[T
     ]
 
 
-def emit(
-    corpus: Corpus,
-    splits: Mapping[str, SplitAssignment],
-    strategy: Strategy,
-    seed: int = 0,
-) -> list[EmissionRecord]:
+def emit(corpus: Corpus, strategy: Strategy, seed: int = 0) -> list[EmissionRecord]:
     """Expand the corpus into training records under a strategy.
 
-    Train and validation lines expand per the strategy; test lines always
-    yield one human record. The random-one draw consumes a single seeded
-    stream over train/validation lines in corpus order, so a given
-    (corpus, splits, seed) triple always reproduces the same records.
+    Each line's split is read from the line itself. Train and validation
+    lines expand per the strategy; test lines always yield one human record.
+    The random-one draw consumes a single seeded stream over train/validation
+    lines in corpus order, so a given (corpus, seed) pair always reproduces
+    the same records.
 
     Raises:
-        ValueError: if a line is missing from the split map, or the strategy
-            needs an aggregate transcription the line does not carry.
+        ValueError: if a line has no split, or the strategy needs an
+            aggregate transcription the line does not carry.
     """
     rng = SeededRng(seed)
     records: list[EmissionRecord] = []
     for line in corpus.lines:
-        assignment = splits.get(line.line_id)
-        if assignment is None:
-            raise ValueError(f"line {line.line_id!r} is missing from the split map")
-        if assignment.split is Split.TEST:
+        if line.split is None:
+            raise ValueError(f"line {line.line_id!r} has no split annotation")
+        if line.split is Split.TEST:
             humans = line.human_transcriptions
             if not humans:
                 raise ValueError(f"test line {line.line_id!r} has no human transcription")
@@ -111,7 +106,7 @@ def emit(
             EmissionRecord(
                 image_ref=line.image_ref,
                 text=t.text,
-                split=assignment.split,
+                split=line.split,
                 source=t.source,
             )
             for t in chosen

@@ -34,13 +34,7 @@ from .corpus import (
 from .quality import agreement_score, filter_by_agreement
 from .rasa import selected_transcription
 from .rover import Granularity, consensus_transcription
-from .splits import (
-    agreement_split,
-    apply_split,
-    assignments_from_corpus,
-    random_split,
-    split_counts,
-)
+from .splits import agreement_split, apply_split, random_split, split_counts
 
 PROG = "aggrescribe"
 
@@ -164,8 +158,7 @@ def cmd_aggregate(args: argparse.Namespace) -> dict:
     threads = _thread_cap()
     aggregates = _map_lines(per_line, corpus.lines, threads)
     updated = Corpus(
-        tuple(line.with_aggregate(t) for line, t in zip(corpus.lines, aggregates)),
-        provenance=corpus.provenance,
+        tuple(line.with_aggregate(t) for line, t in zip(corpus.lines, aggregates))
     )
     write_manifest(updated, args.output)
     print(f"aggregated {len(updated)} lines with {args.method} -> {args.output}")
@@ -183,8 +176,7 @@ def cmd_agree(args: argparse.Namespace) -> dict:
     threads = _thread_cap()
     scores = _map_lines(agreement_score, corpus.lines, threads)
     updated = Corpus(
-        tuple(line.with_agreement(score) for line, score in zip(corpus.lines, scores)),
-        provenance=corpus.provenance,
+        tuple(line.with_agreement(score) for line, score in zip(corpus.lines, scores))
     )
     write_manifest(updated, args.output)
     mean = sum(scores) / len(scores) if scores else 0.0
@@ -242,19 +234,13 @@ def cmd_split(args: argparse.Namespace) -> dict:
 def cmd_filter(args: argparse.Namespace) -> dict:
     corpus = parse_manifest(args.manifest)
     try:
-        splits = assignments_from_corpus(corpus)
-        scores = {
-            line.line_id: line.agreement
-            for line in corpus.lines
-            if line.agreement is not None
-        }
-        filtered = filter_by_agreement(corpus, scores, args.min_agreement, splits)
+        filtered = filter_by_agreement(corpus, args.min_agreement)
     except ValueError as exc:
         raise ManifestError(str(exc)) from exc
     write_manifest(filtered, args.output)
 
-    before = split_counts(splits.values())
-    after = split_counts(assignments_from_corpus(filtered).values())
+    before = split_counts(line.split for line in corpus.lines)
+    after = split_counts(line.split for line in filtered.lines)
     retained = after[Split.TRAIN]
     total = before[Split.TRAIN]
     share = 100.0 * retained / total if total else 0.0
@@ -280,11 +266,10 @@ def cmd_emit(args: argparse.Namespace) -> dict:
     corpus = parse_manifest(args.manifest)
     strategy = Strategy(args.strategy)
     try:
-        splits = assignments_from_corpus(corpus)
-        records = emit(corpus, splits, strategy, seed=args.seed)
+        records = emit(corpus, strategy, seed=args.seed)
+        write_ground_truth(records, args.out)
     except ValueError as exc:
         raise ManifestError(str(exc)) from exc
-    write_ground_truth(records, args.out)
     counts = {
         "train": sum(1 for r in records if r.split is Split.TRAIN),
         "val": sum(1 for r in records if r.split is Split.VALIDATION),
@@ -374,9 +359,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ManifestError as exc:
-        print(f"{PROG}: manifest error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
         print(f"{PROG}: manifest error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -20,8 +20,7 @@ import os
 import tempfile
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterator
@@ -129,7 +128,6 @@ class Corpus:
     """Immutable ordered collection of lines with distinct line_ids."""
 
     lines: tuple[TranscribedLine, ...]
-    provenance: dict[str, str] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lines", tuple(self.lines))
@@ -146,7 +144,7 @@ class Corpus:
         return iter(self.lines)
 
     def map_lines(self, fn) -> "Corpus":
-        return Corpus(tuple(fn(line) for line in self.lines), provenance=self.provenance)
+        return Corpus(tuple(fn(line) for line in self.lines))
 
 
 def canonical_transcriptions(line: TranscribedLine) -> tuple[Transcription, ...]:
@@ -209,7 +207,13 @@ def _parse_line(record: object, context: str) -> TranscribedLine:
     if agreement is not None:
         if isinstance(agreement, bool) or not isinstance(agreement, (int, float)):
             raise ManifestError(f"{context}: 'agreement' must be a number")
-        agreement = float(agreement)
+        try:
+            agreement = float(agreement)
+        except OverflowError:
+            raise ManifestError(f"{context}: 'agreement' is too large for a float") from None
+        # Also rejects NaN, which compares false with everything.
+        if not 0.0 <= agreement <= 100.0:
+            raise ManifestError(f"{context}: 'agreement' must be in [0, 100], got {agreement}")
 
     entries = record.get("transcriptions")
     if not isinstance(entries, list) or not entries:
@@ -230,36 +234,62 @@ def _parse_line(record: object, context: str) -> TranscribedLine:
     )
 
 
+def _require_utf8(line: TranscribedLine, context: str) -> None:
+    # A \ud800-style JSON escape parses to a lone surrogate, which can never
+    # be written back as UTF-8.
+    fields = [("line_id", line.line_id), ("image", line.image_ref), ("page_id", line.page_id)]
+    for t in line.transcriptions:
+        fields += [("text", t.text), ("annotator", t.source.annotator_id)]
+    for name, value in fields:
+        if value is None:
+            continue
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ManifestError(f"{context}: '{name}' contains an unpaired surrogate") from None
+
+
 def parse_manifest(path: str | Path) -> Corpus:
     """Read a newline-delimited JSON manifest, preserving record order.
 
     Raises:
-        ManifestError: on malformed JSON (with the offending line number),
-            duplicate line_ids, empty transcription lists, unknown source
-            tags, or any other schema violation.
+        ManifestError: on invalid UTF-8 or malformed JSON (with the offending
+            line number), duplicate line_ids, empty transcription lists,
+            unknown source tags, or any other schema violation.
     """
     path = Path(path)
     lines: list[TranscribedLine] = []
     seen: set[str] = set()
-    with path.open(encoding="utf-8") as handle:
+    # Binary mode, so that a decoding error names its line.
+    with path.open("rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            if not raw.strip():
-                continue
             context = f"{path.name}:{lineno}"
             try:
-                record = json.loads(raw)
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ManifestError(
+                    f"{context}: invalid UTF-8 at byte {exc.start} ({exc.reason})"
+                ) from exc
+            if not text.strip():
+                continue
+            try:
+                record = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise ManifestError(f"{context}: malformed JSON ({exc.msg})") from exc
+            except (ValueError, RecursionError) as exc:
+                # An integer past the interpreter's digit limit, or nesting
+                # deeper than the decoder's recursion limit.
+                raise ManifestError(f"{context}: unreadable JSON ({exc})") from exc
             line = _parse_line(record, context)
+            # Only a \u escape can yield a lone surrogate, so lines without
+            # one skip the check.
+            if "\\u" in text:
+                _require_utf8(line, context)
             if line.line_id in seen:
                 raise ManifestError(f"{context}: duplicate line_id {line.line_id!r}")
             seen.add(line.line_id)
             lines.append(line)
-    provenance = {
-        "source": str(path),
-        "ingested_at": datetime.now(timezone.utc).isoformat(),
-    }
-    return Corpus(tuple(lines), provenance=provenance)
+    return Corpus(tuple(lines))
 
 
 def _transcription_record(t: Transcription) -> dict:
@@ -307,7 +337,8 @@ def write_manifest(corpus: Corpus, path: str | Path) -> None:
     rewriting an unchanged corpus is byte-identical.
     """
     body = "".join(
-        json.dumps(_line_record(line), ensure_ascii=False) + "\n" for line in corpus.lines
+        json.dumps(_line_record(line), ensure_ascii=False, allow_nan=False) + "\n"
+        for line in corpus.lines
     )
     atomic_write_text(path, body)
 

@@ -9,12 +9,10 @@ mean distance is clamped at 1 so the score never goes negative.
 from __future__ import annotations
 
 from statistics import fmean
-from typing import Mapping
 
 from .corpus import Corpus, Split, TranscribedLine, canonical_transcriptions
 from .metrics import sym_char_distance
 from .rover import Granularity, rover_consensus
-from .splits import SplitAssignment
 
 
 def agreement_score(line: TranscribedLine) -> float:
@@ -36,34 +34,28 @@ def annotate_agreement(corpus: Corpus) -> Corpus:
     return corpus.map_lines(lambda line: line.with_agreement(agreement_score(line)))
 
 
-def filter_by_agreement(
-    corpus: Corpus,
-    scores: Mapping[str, float],
-    threshold: float,
-    splits: Mapping[str, SplitAssignment],
-) -> Corpus:
-    """Drop train lines scoring strictly below the threshold.
+def filter_by_agreement(corpus: Corpus, threshold: float) -> Corpus:
+    """Drop train lines whose agreement scores strictly below the threshold.
 
-    Validation and test lines pass through untouched; a line scoring exactly
-    the threshold is retained.
+    Each line's split and score are read from the line itself. Validation and
+    test lines pass through untouched; a line scoring exactly the threshold
+    is retained.
 
     Raises:
-        ValueError: on a threshold outside [0, 100], a line missing from the
-            split map, or a train line without a score.
+        ValueError: on a threshold outside [0, 100], a line without a split,
+            or a train line without an agreement score.
     """
     if not 0.0 <= threshold <= 100.0:
         raise ValueError(f"threshold must be in [0, 100], got {threshold}")
     kept = []
     for line in corpus.lines:
-        assignment = splits.get(line.line_id)
-        if assignment is None:
-            raise ValueError(f"line {line.line_id!r} is missing from the split map")
-        if assignment.split is not Split.TRAIN:
+        if line.split is None:
+            raise ValueError(f"line {line.line_id!r} has no split annotation")
+        if line.split is not Split.TRAIN:
             kept.append(line)
             continue
-        score = scores.get(line.line_id)
-        if score is None:
+        if line.agreement is None:
             raise ValueError(f"train line {line.line_id!r} has no agreement score")
-        if score >= threshold:
+        if line.agreement >= threshold:
             kept.append(line)
-    return Corpus(tuple(kept), provenance=corpus.provenance)
+    return Corpus(tuple(kept))

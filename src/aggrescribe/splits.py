@@ -9,8 +9,6 @@ sizes, so a given seed always reproduces the same manifest byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Mapping, MutableSequence
 
 from .corpus import Corpus, Split
@@ -20,18 +18,6 @@ from .metrics import sym_char_distance
 VALIDATION_BAND = 0.05
 
 _MASK64 = (1 << 64) - 1
-
-
-class SplitRule(Enum):
-    AGREEMENT_BASED = "agreement"
-    RANDOM = "random"
-
-
-@dataclass(frozen=True)
-class SplitAssignment:
-    line_id: str
-    split: Split
-    rule: SplitRule | None = None
 
 
 class SeededRng:
@@ -61,7 +47,7 @@ class SeededRng:
             items[i], items[j] = items[j], items[i]
 
 
-def agreement_split(corpus: Corpus) -> dict[str, SplitAssignment]:
+def agreement_split(corpus: Corpus) -> dict[str, Split]:
     """Assign each line by the two-annotator agreement rule.
 
     Lines with a single human transcription train; with two, the symmetric
@@ -71,7 +57,7 @@ def agreement_split(corpus: Corpus) -> dict[str, SplitAssignment]:
     Raises:
         ValueError: if a line has no human transcription.
     """
-    assignments: dict[str, SplitAssignment] = {}
+    assignments: dict[str, Split] = {}
     for line in corpus.lines:
         humans = line.human_transcriptions
         if not humans:
@@ -86,15 +72,13 @@ def agreement_split(corpus: Corpus) -> dict[str, SplitAssignment]:
                 split = Split.TRAIN
         else:
             split = Split.TRAIN
-        assignments[line.line_id] = SplitAssignment(
-            line_id=line.line_id, split=split, rule=SplitRule.AGREEMENT_BASED
-        )
+        assignments[line.line_id] = split
     return assignments
 
 
 def random_split(
     corpus: Corpus, sizes: tuple[int, int, int], seed: int
-) -> dict[str, SplitAssignment]:
+) -> dict[str, Split]:
     """Seeded random partition with exact cardinalities.
 
     ``sizes`` is (train, validation, test) and must sum to the corpus size.
@@ -112,7 +96,7 @@ def random_split(
         )
     order = list(range(len(corpus.lines)))
     SeededRng(seed).shuffle(order)
-    assignments: dict[str, SplitAssignment] = {}
+    assignments: dict[str, Split] = {}
     for position, index in enumerate(order):
         if position < train:
             split = Split.TRAIN
@@ -120,21 +104,18 @@ def random_split(
             split = Split.VALIDATION
         else:
             split = Split.TEST
-        line_id = corpus.lines[index].line_id
-        assignments[line_id] = SplitAssignment(
-            line_id=line_id, split=split, rule=SplitRule.RANDOM
-        )
+        assignments[corpus.lines[index].line_id] = split
     return assignments
 
 
-def split_counts(assignments: Iterable[SplitAssignment]) -> dict[Split, int]:
+def split_counts(splits: Iterable[Split]) -> dict[Split, int]:
     counts = {split: 0 for split in Split}
-    for assignment in assignments:
-        counts[assignment.split] += 1
+    for split in splits:
+        counts[split] += 1
     return counts
 
 
-def apply_split(corpus: Corpus, assignments: Mapping[str, SplitAssignment]) -> Corpus:
+def apply_split(corpus: Corpus, assignments: Mapping[str, Split]) -> Corpus:
     """Annotate every line with its assigned split.
 
     Raises:
@@ -142,26 +123,9 @@ def apply_split(corpus: Corpus, assignments: Mapping[str, SplitAssignment]) -> C
     """
 
     def _annotate(line):
-        assignment = assignments.get(line.line_id)
-        if assignment is None:
+        split = assignments.get(line.line_id)
+        if split is None:
             raise ValueError(f"line {line.line_id!r} is missing from the split map")
-        return line.with_split(assignment.split)
+        return line.with_split(split)
 
     return corpus.map_lines(_annotate)
-
-
-def assignments_from_corpus(corpus: Corpus) -> dict[str, SplitAssignment]:
-    """Recover the split map from an annotated corpus.
-
-    The rule that produced the annotation is not recorded in manifests, so
-    assignments come back with ``rule=None``.
-
-    Raises:
-        ValueError: if a line carries no split annotation.
-    """
-    assignments: dict[str, SplitAssignment] = {}
-    for line in corpus.lines:
-        if line.split is None:
-            raise ValueError(f"line {line.line_id!r} has no split annotation")
-        assignments[line.line_id] = SplitAssignment(line_id=line.line_id, split=line.split)
-    return assignments

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
+import aggrescribe
 from aggrescribe import (
     Corpus,
     SourceKind,
@@ -11,6 +15,17 @@ from aggrescribe import (
 )
 
 _AUTO_KINDS = (SourceKind.AUTO_PYLAIA, SourceKind.AUTO_DAN)
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """Environment for a child Python that must import this same package.
+
+    A child may run in another directory, where a relative PYTHONPATH entry
+    would miss the package, so the directory it was imported from goes first.
+    """
+    src = str(Path(aggrescribe.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=pythonpath, **extra)
 
 
 def build_line(

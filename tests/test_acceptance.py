@@ -21,14 +21,14 @@ import pytest
 
 from aggrescribe import (
     Corpus,
-    apply_split,
     Granularity,
     SourceKind,
     Split,
-    SplitAssignment,
     Strategy,
     agreement_score,
     agreement_split,
+    annotate_agreement,
+    apply_split,
     corpus_stats,
     edit_distance,
     emit,
@@ -42,7 +42,7 @@ from aggrescribe import (
     write_manifest,
 )
 from aggrescribe.rover import NULL
-from conftest import build_line
+from conftest import build_line, child_env
 from oracles import brute_edit_distance, positional_consensus
 
 FIXTURE = Path(__file__).parent / "fixtures" / "synthetic_50.jsonl"
@@ -103,16 +103,13 @@ def test_criterion_2_agreement_split(belfort):
 @needs_belfort
 def test_criterion_3_filter_retention(belfort):
     started = time.perf_counter()
-    splits = agreement_split(belfort)
-    scores = {line.line_id: agreement_score(line) for line in belfort}
-    train_total = split_counts(splits.values())[Split.TRAIN]
+    annotated = annotate_agreement(apply_split(belfort, agreement_split(belfort)))
+    train_total = split_counts(line.split for line in annotated)[Split.TRAIN]
     expected = {90.0: 75.7, 97.0: 50.3, 99.0: 29.3}
     shares = {}
     for threshold in expected:
-        filtered = filter_by_agreement(belfort, scores, threshold, splits)
-        kept_train = sum(
-            1 for line in filtered if splits[line.line_id].split is Split.TRAIN
-        )
+        filtered = filter_by_agreement(annotated, threshold)
+        kept_train = sum(1 for line in filtered if line.split is Split.TRAIN)
         shares[threshold] = 100.0 * kept_train / train_total
     elapsed = time.perf_counter() - started
     ok = elapsed < 600.0 and all(
@@ -132,13 +129,12 @@ def test_criterion_4_emit_all(belfort, tmp_path):
     from aggrescribe.rasa import selected_transcription
     from aggrescribe.rover import consensus_transcription
 
-    splits = agreement_split(belfort)
-    augmented = belfort.map_lines(
+    augmented = apply_split(belfort, agreement_split(belfort)).map_lines(
         lambda line: line.with_aggregate(consensus_transcription(line)).with_aggregate(
             selected_transcription(line)
         )
     )
-    records = emit(augmented, splits, Strategy.ALL_WITH_AGGREGATES)
+    records = emit(augmented, Strategy.ALL_WITH_AGGREGATES)
     per_image = Counter(
         r.image_ref for r in records if r.split is Split.TRAIN
     )
@@ -278,20 +274,19 @@ def test_criterion_8_agreement_properties():
     # filter monotonicity on randomized corpora
     for _ in range(30):
         size = rng.randint(1, 200)
-        lines = tuple(build_line(f"L{i}") for i in range(size))
-        corpus = Corpus(lines)
-        scores = {f"L{i}": rng.uniform(0, 100) for i in range(size)}
-        splits = {
-            f"L{i}": SplitAssignment(f"L{i}", rng.choice(list(Split))) for i in range(size)
-        }
+        scores = [rng.uniform(0, 100) for _ in range(size)]
+        splits = [rng.choice(list(Split)) for _ in range(size)]
+        corpus = Corpus(
+            tuple(
+                build_line(f"L{i}", split=split, agreement=score)
+                for i, (score, split) in enumerate(zip(scores, splits))
+            )
+        )
         previous = None
         for threshold in (0, 25, 50, 75, 90, 97, 99, 100):
-            kept = {
-                line.line_id
-                for line in filter_by_agreement(corpus, scores, threshold, splits)
-            }
+            kept = {line.line_id for line in filter_by_agreement(corpus, threshold)}
             non_train = {
-                lid for lid, a in splits.items() if a.split is not Split.TRAIN
+                line.line_id for line in corpus if line.split is not Split.TRAIN
             }
             assert non_train <= kept  # val/test never removed
             if previous is not None:
@@ -321,7 +316,7 @@ def test_criterion_9_split_properties(tmp_path):
         assignments = agreement_split(corpus)
         assert set(assignments) == {line.line_id for line in corpus}  # partition
         for line in corpus:
-            if assignments[line.line_id].split is Split.TEST:
+            if assignments[line.line_id] is Split.TEST:
                 h = line.human_transcriptions
                 assert len(h) == 2 and h[0].text == h[1].text  # soundness
 
@@ -345,7 +340,7 @@ def test_criterion_9_split_properties(tmp_path):
 
 
 def _run_pipeline(workdir: Path, threads: int) -> dict[str, bytes]:
-    env = dict(os.environ, AGGRESCRIBE_THREADS=str(threads))
+    env = child_env(AGGRESCRIBE_THREADS=str(threads))
     workdir.mkdir()
     steps = [
         ["aggregate", str(FIXTURE), "-o", "rover.jsonl", "--method", "rover", "--level", "char"],

@@ -9,7 +9,6 @@ from aggrescribe import (
     EmissionRecord,
     SourceKind,
     Split,
-    SplitAssignment,
     Strategy,
     TranscriptionSource,
     emit,
@@ -18,14 +17,12 @@ from aggrescribe import (
 from conftest import build_line
 
 
-def full_line(line_id, humans=("h one", "h two"), autos=("p text", "d text"), split=None):
+def full_line(
+    line_id, humans=("h one", "h two"), autos=("p text", "d text"), split=Split.TRAIN
+):
     return build_line(
         line_id, humans=humans, autos=autos, rover="rover text", rasa="rasa text", split=split
     )
-
-
-def train_map(corpus, split=Split.TRAIN):
-    return {line.line_id: SplitAssignment(line.line_id, split) for line in corpus}
 
 
 class TestEmitCounts:
@@ -42,7 +39,7 @@ class TestEmitCounts:
     )
     def test_record_count_law_two_humans(self, strategy, expected):
         corpus = Corpus((full_line("A"),))
-        records = emit(corpus, train_map(corpus), strategy)
+        records = emit(corpus, strategy)
         assert len(records) == expected
 
     @pytest.mark.parametrize(
@@ -51,69 +48,67 @@ class TestEmitCounts:
     )
     def test_record_count_law_one_human(self, strategy, expected):
         corpus = Corpus((full_line("A", humans=("only one",)),))
-        records = emit(corpus, train_map(corpus), strategy)
+        records = emit(corpus, strategy)
         assert len(records) == expected
 
     def test_rover_one_source_tag(self):
         corpus = Corpus((full_line("A"),))
-        (record,) = emit(corpus, train_map(corpus), Strategy.ROVER_ONE)
+        (record,) = emit(corpus, Strategy.ROVER_ONE)
         assert record.source.kind is SourceKind.AGGREGATE_ROVER
         assert record.text == "rover text"
 
     def test_validation_lines_expand_like_train(self):
-        corpus = Corpus((full_line("A"),))
-        records = emit(corpus, train_map(corpus, Split.VALIDATION), Strategy.ALL_WITH_AGGREGATES)
+        corpus = Corpus((full_line("A", split=Split.VALIDATION),))
+        records = emit(corpus, Strategy.ALL_WITH_AGGREGATES)
         assert len(records) == 6
         assert all(r.split is Split.VALIDATION for r in records)
 
     def test_test_lines_emit_one_human_regardless(self):
-        corpus = Corpus((full_line("A"),))
+        corpus = Corpus((full_line("A", split=Split.TEST),))
         for strategy in Strategy:
-            records = emit(corpus, train_map(corpus, Split.TEST), strategy)
+            records = emit(corpus, strategy)
             assert len(records) == 1
             assert records[0].source.kind is SourceKind.HUMAN
             assert records[0].text == "h one"
 
     def test_missing_aggregate_rejected(self, make_line):
-        corpus = Corpus((make_line("A", humans=("x",)),))
+        corpus = Corpus((make_line("A", humans=("x",), split=Split.TRAIN),))
         with pytest.raises(ValueError, match="aggregate:rover"):
-            emit(corpus, train_map(corpus), Strategy.ROVER_ONE)
+            emit(corpus, Strategy.ROVER_ONE)
 
     def test_missing_split_rejected(self):
-        corpus = Corpus((full_line("A"),))
-        with pytest.raises(ValueError, match="split map"):
-            emit(corpus, {}, Strategy.ALL_HUMAN)
+        corpus = Corpus((full_line("A", split=None),))
+        with pytest.raises(ValueError, match="no split annotation"):
+            emit(corpus, Strategy.ALL_HUMAN)
 
     def test_duplicate_texts_still_emitted_per_slot(self, make_line):
         # rasa pick equal to a human text still occupies its own slot
         line = build_line("A", humans=("same",), autos=("same", "same"),
-                          rover="same", rasa="same")
+                          rover="same", rasa="same", split=Split.TRAIN)
         corpus = Corpus((line,))
-        records = emit(corpus, train_map(corpus), Strategy.ALL_WITH_AGGREGATES)
+        records = emit(corpus, Strategy.ALL_WITH_AGGREGATES)
         assert len(records) == 5
         assert [r.text for r in records] == ["same"] * 5
 
     def test_random_one_draws_from_humans_only(self):
         lines = tuple(full_line(f"L{i}") for i in range(40))
         corpus = Corpus(lines)
-        records = emit(corpus, train_map(corpus), Strategy.RANDOM_ONE, seed=11)
+        records = emit(corpus, Strategy.RANDOM_ONE, seed=11)
         assert all(r.source.kind is SourceKind.HUMAN for r in records)
         texts = {r.text for r in records}
         assert texts == {"h one", "h two"}  # both picked somewhere over 40 draws
 
     def test_random_one_deterministic_per_seed(self):
         corpus = Corpus(tuple(full_line(f"L{i}") for i in range(25)))
-        splits = train_map(corpus)
-        first = emit(corpus, splits, Strategy.RANDOM_ONE, seed=5)
-        second = emit(corpus, splits, Strategy.RANDOM_ONE, seed=5)
+        first = emit(corpus, Strategy.RANDOM_ONE, seed=5)
+        second = emit(corpus, Strategy.RANDOM_ONE, seed=5)
         assert first == second
 
     @given(st.integers(min_value=0, max_value=2**32))
     def test_text_provenance(self, seed):
         corpus = Corpus(tuple(full_line(f"L{i}") for i in range(5)))
-        splits = train_map(corpus)
         for strategy in Strategy:
-            for record in emit(corpus, splits, strategy, seed=seed):
+            for record in emit(corpus, strategy, seed=seed):
                 line = next(l for l in corpus if l.image_ref == record.image_ref)
                 assert record.text in {t.text for t in line.transcriptions}
 

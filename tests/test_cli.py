@@ -147,3 +147,67 @@ class TestThreads:
         monkeypatch.setenv("AGGRESCRIBE_THREADS", "4")
         assert run("agree", FIXTURE, "-o", multi) == EXIT_OK
         assert single.read_bytes() == multi.read_bytes()
+
+
+def manifest_line(**fields) -> dict:
+    return {
+        "line_id": "A",
+        "image": "img/a.png",
+        "split": "train",
+        "transcriptions": [{"text": "bonjour", "source": "human"}],
+        **fields,
+    }
+
+
+class TestManifestBoundary:
+    @pytest.mark.parametrize(
+        "token",
+        ["NaN", "Infinity", "-Infinity", "1e999", "-0.5", "100.5", "9" * 400],
+        ids=["nan", "infinity", "minus-infinity", "overflowing-float", "below-0",
+             "above-100", "400-digit-int"],
+    )
+    def test_bad_agreement_is_validation_error(self, tmp_path, capsys, token):
+        bad = tmp_path / "bad.jsonl"
+        good = json.dumps(manifest_line(agreement=50))
+        bad.write_text(good + "\n" + good.replace('"A"', '"B"').replace("50", token) + "\n",
+                       encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert run("filter", bad, "-o", out, "--min-agreement", "0") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "bad.jsonl:2" in err and "'agreement'" in err
+        assert not out.exists()
+
+    def test_agreement_bounds_are_accepted(self, tmp_path, capsys):
+        path = tmp_path / "in.jsonl"
+        path.write_text(
+            json.dumps(manifest_line(agreement=0)) + "\n"
+            + json.dumps(manifest_line(line_id="B", agreement=100)) + "\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out.jsonl"
+        assert run("filter", path, "-o", out, "--min-agreement", "0") == EXIT_OK
+        assert [line.agreement for line in parse_manifest(out)] == [0.0, 100.0]
+
+    def test_invalid_utf8_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        good = json.dumps(manifest_line()).encode("utf-8")
+        bad.write_bytes(good + b"\n" + good.replace(b"bonjour", b"bon\xffjour") + b"\n")
+        assert run("validate", bad) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "bad.jsonl:2" in err and "UTF-8" in err
+
+    def test_tab_in_image_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(manifest_line(image="img\ta.png")) + "\n", encoding="utf-8")
+        gt = tmp_path / "gt"
+        assert run("emit", bad, "--strategy", "all-human", "--out", gt) == EXIT_VALIDATION
+        assert "tab or newline" in capsys.readouterr().err
+        assert not (gt / "train.tsv").exists()
+
+    def test_programming_error_is_not_a_manifest_error(self, tmp_path, monkeypatch):
+        def broken(line):
+            raise ValueError("a bug, not bad input")
+
+        monkeypatch.setattr("aggrescribe.cli.agreement_score", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            run("agree", FIXTURE, "-o", tmp_path / "out.jsonl")

@@ -170,6 +170,28 @@ class TestParse:
         with pytest.raises(ManifestError, match="unknown split"):
             parse_manifest(path)
 
+    @pytest.mark.parametrize(
+        "body",
+        ["[" * 100_000 + "]" * 100_000, '{"line_id": ' + "9" * 5000 + "}"],
+        ids=["deep-nesting", "5000-digit-int"],
+    )
+    def test_unreadable_json_reports_line_number(self, tmp_path, body):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(record("L1")) + "\n" + body + "\n", encoding="utf-8")
+        with pytest.raises(ManifestError, match="bad.jsonl:2: unreadable JSON"):
+            parse_manifest(path)
+
+    @pytest.mark.parametrize("field", ["line_id", "image", "page_id", "text", "annotator"])
+    def test_unpaired_surrogate_rejected(self, tmp_path, field):
+        rec = record("L1", page_id="P1")
+        rec["transcriptions"][0]["annotator"] = "u1"
+        owner = rec["transcriptions"][0] if field in ("text", "annotator") else rec
+        owner[field] = "a\ud800b"
+        path = tmp_path / "surrogate.jsonl"
+        path.write_text(json.dumps(rec) + "\n", encoding="ascii")  # as a \ud800 escape
+        with pytest.raises(ManifestError, match=f"'{field}' contains an unpaired surrogate"):
+            parse_manifest(path)
+
 
 corpus_text = st.text(
     alphabet="abcdefé à-',. 0123456789́", min_size=1, max_size=30
@@ -229,7 +251,13 @@ class TestWrite:
         path = tmp_path_factory.mktemp("rt") / "corpus.jsonl"
         write_manifest(corpus, path)
         reparsed = parse_manifest(path)
-        assert reparsed == corpus  # provenance is excluded from equality
+        assert reparsed == corpus
+
+    def test_non_finite_agreement_not_written(self, tmp_path, make_line):
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_manifest(Corpus((make_line("A", agreement=float("nan")),)), path)
+        assert not path.exists()
 
     @given(corpus=corpora())
     def test_rewrite_is_byte_identical(self, corpus, tmp_path_factory):
@@ -237,6 +265,68 @@ class TestWrite:
         write_manifest(corpus, base / "a.jsonl")
         write_manifest(parse_manifest(base / "a.jsonl"), base / "b.jsonl")
         assert (base / "a.jsonl").read_bytes() == (base / "b.jsonl").read_bytes()
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+# Lone surrogates included: json.dumps writes them as \udXXX escapes.
+_any_text = st.text(max_size=6) | st.sampled_from(["\ud800", "x\udfff"])
+
+
+def _or_junk(strategy):
+    return strategy | _json_values
+
+
+_transcription_records = st.fixed_dictionaries(
+    {},
+    optional={
+        "text": _or_junk(_any_text),
+        "source": _or_junk(st.sampled_from([kind.value for kind in SourceKind])),
+        "annotator": _or_junk(_any_text),
+        "uncertain": _or_junk(st.booleans()),
+    },
+)
+_line_records = st.fixed_dictionaries(
+    {},
+    optional={
+        "line_id": _or_junk(st.sampled_from(["L1", "L2", ""])),
+        "image": _or_junk(_any_text),
+        "page_id": _or_junk(_any_text),
+        "split": _or_junk(st.sampled_from([split.value for split in Split])),
+        "agreement": _or_junk(st.floats() | st.integers()),
+        "transcriptions": _or_junk(st.lists(_or_junk(_transcription_records), max_size=3)),
+    },
+)
+
+
+def assert_parses_or_rejects(path):
+    """A manifest either parses to a corpus that writes back and reparses
+    unchanged, or raises ManifestError; nothing else escapes."""
+    try:
+        corpus = parse_manifest(path)
+    except ManifestError:
+        return
+    rewritten = path.with_name("rewritten.jsonl")
+    write_manifest(corpus, rewritten)
+    assert parse_manifest(rewritten) == corpus
+
+
+class TestParseFuzz:
+    @given(data=st.binary(max_size=300))
+    def test_arbitrary_bytes(self, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "manifest.jsonl"
+        path.write_bytes(data)
+        assert_parses_or_rejects(path)
+
+    @given(records=st.lists(_line_records, max_size=3))
+    def test_json_shaped_records(self, records, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "manifest.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="ascii")
+        assert_parses_or_rejects(path)
 
 
 class TestStats:

@@ -7,19 +7,11 @@ from hypothesis import strategies as st
 from aggrescribe import (
     Corpus,
     Split,
-    SplitAssignment,
     agreement_score,
     annotate_agreement,
     filter_by_agreement,
 )
 from conftest import build_line
-
-
-def assignments_for(corpus, split=Split.TRAIN):
-    return {
-        line.line_id: SplitAssignment(line_id=line.line_id, split=split)
-        for line in corpus
-    }
 
 
 class TestAgreementScore:
@@ -68,64 +60,58 @@ class TestAgreementScore:
 
 class TestFilter:
     def test_drops_low_train_lines_only(self, make_corpus, make_line):
-        corpus = make_corpus(make_line("A"), make_line("B"), make_line("C"))
-        splits = {
-            "A": SplitAssignment("A", Split.TRAIN),
-            "B": SplitAssignment("B", Split.VALIDATION),
-            "C": SplitAssignment("C", Split.TEST),
-        }
-        scores = {"A": 10.0, "B": 10.0, "C": 10.0}
-        filtered = filter_by_agreement(corpus, scores, 90.0, splits)
+        corpus = make_corpus(
+            make_line("A", split=Split.TRAIN, agreement=10.0),
+            make_line("B", split=Split.VALIDATION, agreement=10.0),
+            make_line("C", split=Split.TEST, agreement=10.0),
+        )
+        filtered = filter_by_agreement(corpus, 90.0)
         assert [line.line_id for line in filtered] == ["B", "C"]
 
     def test_exact_threshold_retained(self, make_corpus, make_line):
-        corpus = make_corpus(make_line("A"))
-        filtered = filter_by_agreement(
-            corpus, {"A": 90.0}, 90.0, assignments_for(corpus)
-        )
-        assert len(filtered) == 1
+        corpus = make_corpus(make_line("A", split=Split.TRAIN, agreement=90.0))
+        assert len(filter_by_agreement(corpus, 90.0)) == 1
 
     def test_threshold_zero_retains_all(self, make_corpus, make_line):
-        corpus = make_corpus(make_line("A"), make_line("B"))
-        filtered = filter_by_agreement(
-            corpus, {"A": 0.0, "B": 55.0}, 0.0, assignments_for(corpus)
+        corpus = make_corpus(
+            make_line("A", split=Split.TRAIN, agreement=0.0),
+            make_line("B", split=Split.TRAIN, agreement=55.0),
         )
-        assert len(filtered) == 2
+        assert len(filter_by_agreement(corpus, 0.0)) == 2
 
     def test_missing_train_score_rejected(self, make_corpus, make_line):
-        corpus = make_corpus(make_line("A"))
+        corpus = make_corpus(make_line("A", split=Split.TRAIN))
         with pytest.raises(ValueError, match="no agreement score"):
-            filter_by_agreement(corpus, {}, 50.0, assignments_for(corpus))
+            filter_by_agreement(corpus, 50.0)
 
     def test_missing_split_rejected(self, make_corpus, make_line):
-        corpus = make_corpus(make_line("A"))
-        with pytest.raises(ValueError, match="split map"):
-            filter_by_agreement(corpus, {"A": 90.0}, 50.0, {})
+        corpus = make_corpus(make_line("A", agreement=90.0))
+        with pytest.raises(ValueError, match="no split annotation"):
+            filter_by_agreement(corpus, 50.0)
 
     def test_val_test_survive_without_scores(self, make_corpus, make_line):
-        corpus = make_corpus(make_line("A"), make_line("B"))
-        splits = {
-            "A": SplitAssignment("A", Split.VALIDATION),
-            "B": SplitAssignment("B", Split.TEST),
-        }
-        filtered = filter_by_agreement(corpus, {}, 99.0, splits)
-        assert len(filtered) == 2
+        corpus = make_corpus(
+            make_line("A", split=Split.VALIDATION), make_line("B", split=Split.TEST)
+        )
+        assert len(filter_by_agreement(corpus, 99.0)) == 2
 
     def test_bad_threshold_rejected(self, make_corpus, make_line):
-        corpus = make_corpus(make_line("A"))
+        corpus = make_corpus(make_line("A", split=Split.TRAIN, agreement=50.0))
         for bad in (-1.0, 100.5):
             with pytest.raises(ValueError):
-                filter_by_agreement(corpus, {"A": 50.0}, bad, assignments_for(corpus))
+                filter_by_agreement(corpus, bad)
 
     @given(st.lists(st.floats(min_value=0, max_value=100), min_size=0, max_size=40))
     def test_monotone_over_nested_thresholds(self, values):
-        lines = tuple(build_line(f"L{i}") for i in range(len(values)))
-        corpus = Corpus(lines)
-        scores = {f"L{i}": v for i, v in enumerate(values)}
-        splits = assignments_for(corpus)
+        corpus = Corpus(
+            tuple(
+                build_line(f"L{i}", split=Split.TRAIN, agreement=v)
+                for i, v in enumerate(values)
+            )
+        )
         previous = None
         for threshold in (0.0, 25.0, 50.0, 90.0, 97.0, 99.0, 100.0):
-            retained = {line.line_id for line in filter_by_agreement(corpus, scores, threshold, splits)}
+            retained = {line.line_id for line in filter_by_agreement(corpus, threshold)}
             if previous is not None:
                 assert retained <= previous
             previous = retained

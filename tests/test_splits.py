@@ -8,10 +8,11 @@ from aggrescribe import (
     Corpus,
     SeededRng,
     Split,
-    SplitRule,
+    Strategy,
     agreement_split,
     apply_split,
-    assignments_from_corpus,
+    emit,
+    filter_by_agreement,
     random_split,
     split_counts,
     sym_char_distance,
@@ -53,18 +54,18 @@ class TestSeededRng:
 class TestAgreementSplit:
     def test_exact_agreement_goes_to_test(self, make_corpus, make_line):
         corpus = make_corpus(make_line("A", humans=("séance du 3 mai", "séance du 3 mai")))
-        assert agreement_split(corpus)["A"].split is Split.TEST
+        assert agreement_split(corpus)["A"] is Split.TEST
 
     def test_near_agreement_goes_to_validation(self, make_corpus, make_line):
         h1 = "bonjour monsieur le maire de belfort"
         h2 = h1.replace("maire", "mairx")
         assert 0 < sym_char_distance(h1, h2) < 0.05
         corpus = make_corpus(make_line("A", humans=(h1, h2)))
-        assert agreement_split(corpus)["A"].split is Split.VALIDATION
+        assert agreement_split(corpus)["A"] is Split.VALIDATION
 
     def test_disagreement_goes_to_train(self, make_corpus, make_line):
         corpus = make_corpus(make_line("A", humans=("chat", "cheval")))
-        assert agreement_split(corpus)["A"].split is Split.TRAIN
+        assert agreement_split(corpus)["A"] is Split.TRAIN
 
     def test_boundary_distance_goes_to_train(self, make_corpus, make_line):
         # exactly one edit over twenty characters: d = 0.05, not < 0.05
@@ -72,20 +73,16 @@ class TestAgreementSplit:
         h2 = "b" + "a" * 19
         assert sym_char_distance(h1, h2) == 0.05
         corpus = make_corpus(make_line("A", humans=(h1, h2)))
-        assert agreement_split(corpus)["A"].split is Split.TRAIN
+        assert agreement_split(corpus)["A"] is Split.TRAIN
 
     def test_single_human_goes_to_train(self, make_corpus, make_line):
         corpus = make_corpus(make_line("A", humans=("seul",), autos=("seul", "seul")))
-        assert agreement_split(corpus)["A"].split is Split.TRAIN
+        assert agreement_split(corpus)["A"] is Split.TRAIN
 
     def test_no_human_rejected(self, make_corpus):
         line = build_line("A", humans=(), autos=("x", "y"))
         with pytest.raises(ValueError, match="no human"):
             agreement_split(Corpus((line,)))
-
-    def test_rule_recorded(self, make_corpus, make_line):
-        corpus = make_corpus(make_line("A"))
-        assert agreement_split(corpus)["A"].rule is SplitRule.AGREEMENT_BASED
 
     @given(st.lists(st.tuples(st.text(alphabet="ab", min_size=1, max_size=6),
                               st.text(alphabet="ab", min_size=1, max_size=6)),
@@ -98,7 +95,7 @@ class TestAgreementSplit:
         assignments = agreement_split(corpus)
         assert set(assignments) == {line.line_id for line in corpus}
         for line in corpus:
-            split = assignments[line.line_id].split
+            split = assignments[line.line_id]
             h1, h2 = (t.text for t in line.human_transcriptions)
             d = sym_char_distance(h1, h2)
             if split is Split.TEST:
@@ -113,7 +110,7 @@ class TestRandomSplit:
     def test_single_line_always_train(self, make_corpus, make_line):
         corpus = make_corpus(make_line("A"))
         for seed in (0, 1, 2, 12345):
-            assert random_split(corpus, (1, 0, 0), seed)["A"].split is Split.TRAIN
+            assert random_split(corpus, (1, 0, 0), seed)["A"] is Split.TRAIN
 
     def test_exact_cardinalities(self, make_corpus):
         corpus = Corpus(tuple(build_line(f"L{i}") for i in range(20)))
@@ -128,7 +125,7 @@ class TestRandomSplit:
         corpus = Corpus(tuple(build_line(f"L{i}") for i in range(50)))
         a = random_split(corpus, (30, 10, 10), 1)
         b = random_split(corpus, (30, 10, 10), 2)
-        assert any(a[k].split != b[k].split for k in a)
+        assert any(a[k] != b[k] for k in a)
 
     def test_size_mismatch_rejected(self, make_corpus, make_line):
         corpus = make_corpus(make_line("A"), make_line("B"))
@@ -136,10 +133,6 @@ class TestRandomSplit:
             random_split(corpus, (2, 1, 0), 0)
         with pytest.raises(ValueError, match="non-negative"):
             random_split(corpus, (3, -1, 0), 0)
-
-    def test_rule_recorded(self, make_corpus, make_line):
-        corpus = make_corpus(make_line("A"))
-        assert random_split(corpus, (1, 0, 0), 0)["A"].rule is SplitRule.RANDOM
 
     @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=30))
     def test_partition_for_any_seed(self, seed, n):
@@ -157,10 +150,7 @@ class TestApplyAndRecover:
         corpus = make_corpus(make_line("A"), make_line("B"))
         assignments = random_split(corpus, (1, 1, 0), 3)
         annotated = apply_split(corpus, assignments)
-        recovered = assignments_from_corpus(annotated)
-        assert {k: v.split for k, v in recovered.items()} == {
-            k: v.split for k, v in assignments.items()
-        }
+        assert {line.line_id: line.split for line in annotated} == assignments
 
     def test_apply_missing_line_rejected(self, make_corpus, make_line):
         corpus = make_corpus(make_line("A"))
@@ -168,6 +158,8 @@ class TestApplyAndRecover:
             apply_split(corpus, {})
 
     def test_recover_requires_annotations(self, make_corpus, make_line):
-        corpus = make_corpus(make_line("A"))
-        with pytest.raises(ValueError, match="no split annotation"):
-            assignments_from_corpus(corpus)
+        corpus = make_corpus(make_line("A", split=Split.TEST), make_line("B"))
+        with pytest.raises(ValueError, match="'B' has no split annotation"):
+            filter_by_agreement(corpus, 50.0)
+        with pytest.raises(ValueError, match="'B' has no split annotation"):
+            emit(corpus, Strategy.ALL_HUMAN)
