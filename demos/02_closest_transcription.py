@@ -5,8 +5,6 @@ input closest to the reliability-weighted aggregate, so the chosen text is
 always something a real annotator (or model) produced.
 """
 
-import numpy as np
-
 from aggrescribe import distance_matrix, rasa_select
 
 candidates = [
@@ -18,11 +16,12 @@ candidates = [
 
 matrix = distance_matrix(candidates)
 print("Pairwise normalized character distances:")
-print(np.round(matrix, 3))
+for row in matrix:
+    print("  ".join(f"{d:.3f}" for d in row))
 
 pick = rasa_select(candidates)
 print(f"\nSelected index {pick.index}: {candidates[pick.index]!r}")
-print(f"Reliability weights: {np.round(pick.weights, 4)}")
+print("Reliability weights:", "  ".join(f"{w:.4f}" for w in pick.weights))
 # With exact duplicates the weights keep creeping toward the duplicate pair,
 # so the update runs to its 50-iteration cap; the pick itself is stable long
 # before that.

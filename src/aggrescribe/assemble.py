@@ -8,6 +8,7 @@ on human ground truth.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -44,6 +45,10 @@ class EmissionRecord:
 
 
 _FILENAMES = {Split.TRAIN: "train.tsv", Split.VALIDATION: "val.tsv", Split.TEST: "test.tsv"}
+
+#: The tab plus every character ``str.splitlines`` ends a line at; any of them
+#: inside a field would split or shift a TSV row for some reader.
+_ROW_BREAK = re.compile("[\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def _aggregate(line: TranscribedLine, kind: SourceKind) -> Transcription:
@@ -121,15 +126,16 @@ def write_ground_truth(records: Sequence[EmissionRecord], directory: str | Path)
     All three files are written even when empty.
 
     Raises:
-        ValueError: if an image reference or text contains a tab or newline,
-            which would corrupt the row format.
+        ValueError: if an image reference or text contains a tab or a
+            character ``str.splitlines`` ends a line at, which would corrupt
+            the row format.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     buckets: dict[Split, list[str]] = {split: [] for split in Split}
     for record in records:
         for label, value in (("image_ref", record.image_ref), ("text", record.text)):
-            if "\t" in value or "\n" in value:
+            if _ROW_BREAK.search(value):
                 raise ValueError(
                     f"{label} {value!r} contains a tab or newline and cannot be "
                     "written as a TSV row"

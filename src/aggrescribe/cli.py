@@ -6,7 +6,8 @@ machine-readable summary to stderr. Exit codes: 1 usage error, 2 manifest
 validation failure, 3 I/O failure.
 
 Set ``AGGRESCRIBE_THREADS`` to parallelize per-line work in ``aggregate`` and
-``agree``; outputs are identical to single-threaded runs.
+``agree`` on up to that many worker threads, at most one per CPU and per line;
+outputs are identical to single-threaded runs.
 """
 
 from __future__ import annotations
@@ -69,10 +70,12 @@ def _thread_cap() -> int:
 
 def _map_lines(fn: Callable, lines: Sequence, threads: int) -> list:
     # Results keep corpus order regardless of worker count, so parallel runs
-    # are byte-identical to sequential ones.
-    if threads <= 1 or len(lines) < 2:
+    # are byte-identical to sequential ones. No more workers than CPUs or
+    # lines, whatever the environment asks for.
+    workers = min(threads, os.cpu_count() or 1, len(lines))
+    if workers <= 1:
         return [fn(line) for line in lines]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, lines))
 
 

@@ -7,15 +7,14 @@ always one of the inputs (never a synthesized text): the candidate closest to
 the weighted aggregate.
 
 Distances come from the normalized symmetric character rate, so the whole
-computation is deterministic and works without annotator identities.
+computation is deterministic and works without annotator identities. A line
+has only a handful of candidates, so the iteration runs on plain Python floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .metrics import sym_char_distance
 from .corpus import (
@@ -33,6 +32,12 @@ EPSILON = 1e-6
 MAX_ITERATIONS = 50
 TOLERANCE = 1e-6
 
+#: Final scores this close to the minimum count as tied, so the lowest index
+#: among them wins. Exactly tied candidates (say, with permuted distance rows)
+#: can come out a few ulps apart after summation, while scores that really
+#: differ are, on lines of practical length, far further apart.
+TIE_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class RasaSelection:
@@ -49,7 +54,7 @@ class RasaSelection:
     converged: bool
 
 
-def distance_matrix(texts: Sequence[str]) -> np.ndarray:
+def distance_matrix(texts: Sequence[str]) -> list[list[float]]:
     """Symmetric matrix of normalized character distances, zero diagonal.
 
     Raises:
@@ -58,12 +63,16 @@ def distance_matrix(texts: Sequence[str]) -> np.ndarray:
     if not texts:
         raise ValueError("distance_matrix requires at least one text")
     n = len(texts)
-    matrix = np.zeros((n, n))
+    matrix = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            d = sym_char_distance(texts[i], texts[j])
-            matrix[i, j] = matrix[j, i] = d
+            matrix[i][j] = matrix[j][i] = sym_char_distance(texts[i], texts[j])
     return matrix
+
+
+def _scores(matrix: list[list[float]], weights: list[float]) -> list[float]:
+    # Each candidate's weighted sum of distances to the others.
+    return [sum(d * w for d, w in zip(row, weights)) for row in matrix]
 
 
 def rasa_select(texts: Sequence[str]) -> RasaSelection:
@@ -71,7 +80,8 @@ def rasa_select(texts: Sequence[str]) -> RasaSelection:
 
     Weights start uniform; each round scores every candidate by its weighted
     mean distance to the others and resets weights to normalized inverse
-    scores. Ties on the final score go to the lowest index.
+    scores. Ties on the final score (within ``TIE_TOLERANCE``) go to the
+    lowest index.
 
     Raises:
         ValueError: if the list is empty.
@@ -83,24 +93,25 @@ def rasa_select(texts: Sequence[str]) -> RasaSelection:
         return RasaSelection(index=0, weights=(1.0,), iterations=0, converged=True)
 
     matrix = distance_matrix(texts)
-    weights = np.full(n, 1.0 / n)
+    weights = [1.0 / n] * n
     iterations = 0
     converged = False
     for iterations in range(1, MAX_ITERATIONS + 1):
-        scores = matrix @ weights
-        updated = 1.0 / (EPSILON + scores)
-        updated /= updated.sum()
-        delta = float(np.max(np.abs(updated - weights)))
+        inverse = [1.0 / (EPSILON + score) for score in _scores(matrix, weights)]
+        total = sum(inverse)
+        updated = [v / total for v in inverse]
+        delta = max(abs(u - w) for u, w in zip(updated, weights))
         weights = updated
         if delta < TOLERANCE:
             converged = True
             break
 
-    final_scores = matrix @ weights
-    index = int(np.argmin(final_scores))
+    scores = _scores(matrix, weights)
+    best = min(scores)
+    index = next(i for i, score in enumerate(scores) if score - best <= TIE_TOLERANCE)
     return RasaSelection(
         index=index,
-        weights=tuple(float(w) for w in weights),
+        weights=tuple(weights),
         iterations=iterations,
         converged=converged,
     )

@@ -3,13 +3,19 @@
 These deliberately avoid the library's iterative DP code paths: the edit
 distance is a memoized top-down recursion, and the consensus oracle is a
 direct per-position count. Expected values frozen in the test modules were
-computed with these.
+computed with these. The RASA reference is the numpy iteration the library
+ran before it moved to plain floats.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+
+import numpy as np
+
+from aggrescribe.metrics import sym_char_distance
+from aggrescribe.rasa import EPSILON, MAX_ITERATIONS, TOLERANCE, RasaSelection
 
 
 def brute_edit_distance(a, b) -> int:
@@ -76,3 +82,39 @@ def positional_consensus(texts) -> str:
         top = max(counts.values())
         out.append(min(c for c, k in counts.items() if k == top))
     return "".join(out)
+
+
+def numpy_rasa_select(texts) -> tuple[RasaSelection, list[float]]:
+    """RASA on numpy arrays: ``matrix @ weights`` scores, ``np.argmin`` pick.
+
+    Returns the selection and the final scores. The pick is argmin's, so an
+    exact tie that BLAS rounding splits may go to a higher index; callers
+    apply the tie rule to the returned scores themselves.
+    """
+    n = len(texts)
+    if n == 1:
+        return RasaSelection(index=0, weights=(1.0,), iterations=0, converged=True), [0.0]
+    matrix = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i, j] = matrix[j, i] = sym_char_distance(texts[i], texts[j])
+    weights = np.full(n, 1.0 / n)
+    iterations = 0
+    converged = False
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        scores = matrix @ weights
+        updated = 1.0 / (EPSILON + scores)
+        updated /= updated.sum()
+        delta = float(np.max(np.abs(updated - weights)))
+        weights = updated
+        if delta < TOLERANCE:
+            converged = True
+            break
+    final_scores = matrix @ weights
+    selection = RasaSelection(
+        index=int(np.argmin(final_scores)),
+        weights=tuple(float(w) for w in weights),
+        iterations=iterations,
+        converged=converged,
+    )
+    return selection, final_scores.tolist()

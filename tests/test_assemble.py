@@ -151,6 +151,36 @@ class TestWriteGroundTruth:
         with pytest.raises(ValueError, match="tab or newline"):
             write_ground_truth([record], tmp_path)
 
+    @pytest.mark.parametrize(
+        "boundary",
+        ["\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("field", ["image", "text"])
+    def test_line_boundary_rejected(self, tmp_path, boundary, field):
+        assert len(f"a{boundary}b".splitlines()) == 2
+        image, text = "img/a.png", "texte"
+        if field == "image":
+            image = f"img{boundary}a.png"
+        else:
+            text = f"tex{boundary}te"
+        record = EmissionRecord(image, text, Split.TRAIN, TranscriptionSource(SourceKind.HUMAN))
+        with pytest.raises(ValueError, match="tab or newline"):
+            write_ground_truth([record], tmp_path)
+        assert not (tmp_path / "train.tsv").exists()
+
+    def test_other_control_characters_kept_on_one_row(self, tmp_path):
+        others = "".join(
+            chr(c) for c in [*range(0x20), *range(0x7F, 0xA0)]
+            if len(f"a{chr(c)}b".splitlines()) == 1 and chr(c) != "\t"
+        )
+        record = EmissionRecord(
+            f"img{others}.png", others, Split.TRAIN, TranscriptionSource(SourceKind.HUMAN)
+        )
+        write_ground_truth([record], tmp_path)
+        rows = (tmp_path / "train.tsv").read_text(encoding="utf-8").splitlines()
+        assert rows == [f"img{others}.png\t{others}"]
+
     def test_creates_missing_directory(self, tmp_path):
         target = tmp_path / "nested" / "gt"
         write_ground_truth([], target)

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from aggrescribe import parse_manifest
+from aggrescribe import cli, parse_manifest
 from aggrescribe.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from conftest import child_env
 
 FIXTURE = Path(__file__).parent / "fixtures" / "synthetic_50.jsonl"
 
@@ -148,6 +151,73 @@ class TestThreads:
         assert run("agree", FIXTURE, "-o", multi) == EXIT_OK
         assert single.read_bytes() == multi.read_bytes()
 
+    @pytest.mark.parametrize(
+        "threads, cpus, lines, workers",
+        [
+            (100_000, 2, 1000, 2),
+            (100_000, 64, 5, 5),
+            (3, 8, 10, 3),
+            (4, None, 10, None),
+            (4, 1, 10, None),
+            (4, 8, 1, None),
+            (1, 8, 10, None),
+        ],
+    )
+    def test_workers_capped_by_cpus_and_lines(
+        self, monkeypatch, threads, cpus, lines, workers
+    ):
+        created = []
+
+        class RecordingPool:
+            """Records its worker count and maps in the calling thread."""
+
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        items = list(range(lines))
+        assert cli._map_lines(lambda x: x * x, items, threads) == [x * x for x in items]
+        # workers None: the lines run in the calling thread, with no pool
+        assert created == ([] if workers is None else [workers])
+
+
+class TestImports:
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import aggrescribe.cli",
+            # what ``python -m aggrescribe --version`` runs
+            "import runpy\n"
+            "sys.argv = ['aggrescribe', '--version']\n"
+            "try:\n"
+            "    runpy.run_module('aggrescribe', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code",
+        ],
+        ids=["import-cli", "version"],
+    )
+    def test_numpy_not_imported(self, tmp_path, code):
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys\n{code}\nprint('numpy' in sys.modules)"],
+            cwd=tmp_path,
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
 
 def manifest_line(**fields) -> dict:
     return {
@@ -202,6 +272,19 @@ class TestManifestBoundary:
         gt = tmp_path / "gt"
         assert run("emit", bad, "--strategy", "all-human", "--out", gt) == EXIT_VALIDATION
         assert "tab or newline" in capsys.readouterr().err
+        assert not (gt / "train.tsv").exists()
+
+    def test_carriage_return_in_image_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            json.dumps(manifest_line()) + "\n"
+            + json.dumps(manifest_line(line_id="B", image="img\r1.png")) + "\n",
+            encoding="utf-8",
+        )
+        gt = tmp_path / "gt"
+        assert run("emit", bad, "--strategy", "all-human", "--out", gt) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "tab or newline" in err and "'img\\r1.png'" in err
         assert not (gt / "train.tsv").exists()
 
     def test_programming_error_is_not_a_manifest_error(self, tmp_path, monkeypatch):
