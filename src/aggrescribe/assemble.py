@@ -8,13 +8,13 @@ on human ground truth.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
 from .corpus import (
+    _ROW_BREAK,
     SourceKind,
     Split,
     TranscribedLine,
@@ -45,10 +45,6 @@ class EmissionRecord:
 
 
 _FILENAMES = {Split.TRAIN: "train.tsv", Split.VALIDATION: "val.tsv", Split.TEST: "test.tsv"}
-
-#: The tab plus every character ``str.splitlines`` ends a line at; any of them
-#: inside a field would split or shift a TSV row for some reader.
-_ROW_BREAK = re.compile("[\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def _aggregate(line: TranscribedLine, kind: SourceKind) -> Transcription:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 import unicodedata
 from collections import Counter
@@ -45,6 +46,10 @@ class Split(Enum):
 
 
 AGGREGATE_KINDS = frozenset({SourceKind.AGGREGATE_ROVER, SourceKind.AGGREGATE_RASA})
+
+#: The tab plus every character ``str.splitlines`` ends a line at; any of them
+#: inside a field would split or shift a TSV row for some reader.
+_ROW_BREAK = re.compile("[\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 # Fold order for consensus voting: humans in manifest order, then the two
 # automatic sources. Aggregates never vote.
@@ -193,6 +198,11 @@ def _parse_line(record: object, context: str) -> TranscribedLine:
     image = record.get("image")
     if not isinstance(image, str) or not image:
         raise ManifestError(f"{context}: missing or empty 'image'")
+    if _ROW_BREAK.search(image):
+        raise ManifestError(
+            f"{context}: 'image' {image!r} contains a tab or newline and cannot be "
+            "written as a TSV row"
+        )
     page_id = record.get("page_id")
     if page_id is not None and not isinstance(page_id, str):
         raise ManifestError(f"{context}: 'page_id' must be a string")

@@ -3,6 +3,13 @@
 All functions work on plain Python sequences: character-level callers pass
 strings directly (a ``str`` is a sequence of Unicode scalars), word-level
 callers pass the lists produced by ``str.split()``.
+
+The rates, and through them RASA, the agreement score and the agreement
+split, all count edits with one kernel: Myers' bit-vector algorithm in
+Hyyrö's formulation (Myers 1999; Hyyrö 2003). It computes the Levenshtein
+distance a column at a time, with one Python int per bit vector, in
+O(len(longer)) big-int steps. Only ``edit_distance``, which must return an
+alignment, fills a full dynamic-programming table and traces back through it.
 """
 
 from __future__ import annotations
@@ -37,6 +44,11 @@ def edit_distance(a: Sequence[str], b: Sequence[str]) -> EditAlignment:
 
     Substitutions, insertions and deletions all cost 1. Empty sequences are
     allowed.
+
+    This fills the full O(m·n) table to recover the alignment. Callers that
+    need only the distance should use ``cer``, ``wer`` or
+    ``sym_char_distance``: they run the bit-parallel kernel, which every hot
+    path of the package uses.
     """
     m, n = len(a), len(b)
     dist = [list(range(n + 1))] + [[i] + [0] * n for i in range(1, m + 1)]
@@ -71,19 +83,36 @@ def edit_distance(a: Sequence[str], b: Sequence[str]) -> EditAlignment:
 
 
 def _distance(a: Sequence[str], b: Sequence[str]) -> int:
-    # Two-row Wagner-Fischer; same metric as edit_distance but without the
-    # traceback table, used on the hot paths of the rate helpers.
-    if len(a) < len(b):
+    # Bit-parallel Levenshtein distance (Hyyrö 2003). Bit i of the vectors
+    # stands for row i of the DP column over the shorter sequence, the
+    # pattern; pv/mv mark the rows whose vertical delta is +1/-1. ``score``
+    # follows the last row, which ends at the distance.
+    if len(a) > len(b):
         a, b = b, a
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ai in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, bj in enumerate(b, start=1):
-            cur[j] = min(prev[j - 1] + (ai != bj), prev[j] + 1, cur[j - 1] + 1)
-        prev = cur
-    return prev[-1]
+    m = len(a)
+    if not m:
+        return len(b)
+    peq: dict = {}
+    for i, token in enumerate(a):
+        peq[token] = peq.get(token, 0) | 1 << i
+    mask = (1 << m) - 1
+    last = 1 << (m - 1)
+    pv, mv, score = mask, 0, m
+    for token in b:
+        eq = peq.get(token, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        # Row 0 of a global alignment grows by one per column.
+        ph = ph << 1 | 1
+        pv = (mh << 1 | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def cer(hypothesis: str, reference: str) -> float:

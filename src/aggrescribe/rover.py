@@ -10,6 +10,13 @@ skip or a new slot is introduced only when a length difference forces one.
 Equal-length inputs therefore always align position by position, which keeps
 character-level voting an honest per-position majority.
 
+The same order makes a banded DP exact (Ukkonen 1985). Aligning ``m`` slots
+with ``n`` tokens takes at least ``|m - n|`` indels, and some path takes
+exactly that many, so every optimal path does, all of one kind; its diagonal
+``j - i`` then moves monotonically from 0 to ``n - m``. The merge fills only
+those ``|m - n| + 1`` diagonals, and each cell there holds the full table's
+value, because the optimal paths into it stay on the band as well.
+
 Voting picks the highest-multiplicity entry of each slot. The null marker is
 eligible and wins only on strict plurality; among tied tokens the
 lexicographically smallest wins, so the consensus is deterministic and does
@@ -69,20 +76,26 @@ def _merge(slots: list[Counter], merged: int, seq: Sequence[str]) -> list[Counte
 
     Costs are encoded as ``indels * base + substitutions`` with ``base``
     larger than any possible substitution count, which orders paths by
-    (indels, substitutions) lexicographically.
+    (indels, substitutions) lexicographically. Only the diagonals
+    ``j - i`` in ``[min(0, n - m), max(0, n - m)]`` are filled; see the module
+    docstring for why that is exact.
     """
     m, n = len(slots), len(seq)
     base = min(m, n) + 1
     indel = base
-    cost = [[0] * (n + 1) for _ in range(m + 1)]
-    for i in range(1, m + 1):
-        cost[i][0] = i * indel
-    for j in range(1, n + 1):
+    lo, hi = min(0, n - m), max(0, n - m)
+    # Off-band cells hold a cost above any path's, so neither the fill nor
+    # the traceback ever picks one.
+    unreachable = (m + n + 1) * indel
+    cost = [[unreachable] * (n + 1) for _ in range(m + 1)]
+    for j in range(hi + 1):
         cost[0][j] = j * indel
     for i in range(1, m + 1):
         row, prev = cost[i], cost[i - 1]
         slot = slots[i - 1]
-        for j in range(1, n + 1):
+        if i + lo <= 0:
+            row[0] = i * indel
+        for j in range(max(1, i + lo), min(n, i + hi) + 1):
             row[j] = min(
                 prev[j - 1] + (seq[j - 1] not in slot),
                 prev[j] + indel,

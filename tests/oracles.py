@@ -1,21 +1,24 @@
 """Independent reference implementations used to check the library.
 
-These deliberately avoid the library's iterative DP code paths: the edit
-distance is a memoized top-down recursion, and the consensus oracle is a
-direct per-position count. Expected values frozen in the test modules were
-computed with these. The RASA reference is the numpy iteration the library
-ran before it moved to plain floats.
+These deliberately avoid the library's fast code paths: the edit distance
+is a memoized top-down recursion, and the consensus oracle is a direct
+per-position count. Expected values frozen in the test modules were computed
+with these. The other references are the code the library ran before its
+faster replacements: the numpy RASA iteration, the two-row edit-distance DP
+and the full-table lattice merge.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from aggrescribe.metrics import sym_char_distance
 from aggrescribe.rasa import EPSILON, MAX_ITERATIONS, TOLERANCE, RasaSelection
+from aggrescribe.rover import NULL
 
 
 def brute_edit_distance(a, b) -> int:
@@ -35,6 +38,22 @@ def brute_edit_distance(a, b) -> int:
         )
 
     return go(0, 0)
+
+
+def dp_distance(a: Sequence[str], b: Sequence[str]) -> int:
+    """Two-row Wagner-Fischer: the rate helpers' distance before the
+    bit-parallel kernel replaced it."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    prev = list(range(len(b) + 1))
+    for i, ai in enumerate(a, start=1):
+        cur = [i] + [0] * len(b)
+        for j, bj in enumerate(b, start=1):
+            cur[j] = min(prev[j - 1] + (ai != bj), prev[j] + 1, cur[j - 1] + 1)
+        prev = cur
+    return prev[-1]
 
 
 def check_alignment(ops, source, target, distance) -> None:
@@ -118,3 +137,59 @@ def numpy_rasa_select(texts) -> tuple[RasaSelection, list[float]]:
         converged=converged,
     )
     return selection, final_scores.tolist()
+
+
+def full_table_merge(slots: list[Counter], merged: int, seq: Sequence[str]) -> list[Counter]:
+    """``rover._merge`` before banding: fills the whole cost table.
+
+    Costs are encoded as ``indels * base + substitutions`` with ``base``
+    larger than any possible substitution count, which orders paths by
+    (indels, substitutions) lexicographically.
+    """
+    m, n = len(slots), len(seq)
+    base = min(m, n) + 1
+    indel = base
+    cost = [[0] * (n + 1) for _ in range(m + 1)]
+    for i in range(1, m + 1):
+        cost[i][0] = i * indel
+    for j in range(1, n + 1):
+        cost[0][j] = j * indel
+    for i in range(1, m + 1):
+        row, prev = cost[i], cost[i - 1]
+        slot = slots[i - 1]
+        for j in range(1, n + 1):
+            row[j] = min(
+                prev[j - 1] + (seq[j - 1] not in slot),
+                prev[j] + indel,
+                row[j - 1] + indel,
+            )
+
+    # Traceback, preferring joins over slot skips over new slots.
+    out: list[Counter] = []
+    i, j = m, n
+    while i > 0 or j > 0:
+        d = cost[i][j]
+        if i > 0 and j > 0 and cost[i - 1][j - 1] + (seq[j - 1] not in slots[i - 1]) == d:
+            slot = slots[i - 1].copy()
+            slot[seq[j - 1]] += 1
+            out.append(slot)
+            i, j = i - 1, j - 1
+        elif i > 0 and cost[i - 1][j] + indel == d:
+            slot = slots[i - 1].copy()
+            slot[NULL] += 1
+            out.append(slot)
+            i -= 1
+        else:
+            out.append(Counter({seq[j - 1]: 1, NULL: merged}))
+            j -= 1
+    out.reverse()
+    return out
+
+
+def full_table_lattice(sequences) -> list[Counter]:
+    """The slots of ``build_lattice(sequences)``, folded through
+    ``full_table_merge``."""
+    slots = [Counter({token: 1}) for token in sequences[0]]
+    for merged, seq in enumerate(sequences[1:], start=1):
+        slots = full_table_merge(slots, merged, seq)
+    return slots

@@ -287,6 +287,18 @@ class TestManifestBoundary:
         assert "tab or newline" in err and "'img\\r1.png'" in err
         assert not (gt / "train.tsv").exists()
 
+    @pytest.mark.parametrize("image", ["img\r1.png", "img\t1.png"], ids=["cr", "tab"])
+    def test_row_break_in_image_fails_validate(self, tmp_path, capsys, image):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            json.dumps(manifest_line()) + "\n"
+            + json.dumps(manifest_line(line_id="B", image=image)) + "\n",
+            encoding="utf-8",
+        )
+        assert run("validate", bad) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "bad.jsonl:2 (line_id 'B')" in err and repr(image) in err
+
     def test_programming_error_is_not_a_manifest_error(self, tmp_path, monkeypatch):
         def broken(line):
             raise ValueError("a bug, not bad input")

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aggrescribe import metrics
 from aggrescribe.metrics import (
     DELETE,
     INSERT,
@@ -14,9 +15,41 @@ from aggrescribe.metrics import (
     sym_char_distance,
     wer,
 )
-from oracles import brute_edit_distance, check_alignment
+from oracles import brute_edit_distance, check_alignment, dp_distance
 
 short_text = st.text(alphabet="abc ", max_size=12)
+# Repeated tokens, an accented BMP letter and characters outside the BMP.
+wide_text = st.text(alphabet="aab \u00e9\U0001F600\U00010348", max_size=12)
+# Lengths on both sides of the 64-bit word edge, up to a long line, so the
+# bit vectors are ints of several internal digits.
+limb_lengths = st.sampled_from([0, 1, 63, 64, 65, 250]) | st.integers(0, 260)
+
+
+@st.composite
+def long_pairs(draw):
+    alphabet = draw(st.sampled_from(["a", "ab", "abc ", "a\u00e9\U0001F600 "]))
+    a = draw(st.text(alphabet=alphabet, min_size=(n := draw(limb_lengths)), max_size=n))
+    if draw(st.booleans()):
+        b = draw(st.text(alphabet=alphabet, min_size=(n := draw(limb_lengths)), max_size=n))
+    else:
+        # A few edits away from a, so long runs of matches carry through
+        # the vectors.
+        b = list(a)
+        for _ in range(draw(st.integers(0, 8))):
+            at = draw(st.integers(0, len(b)))
+            token = draw(st.sampled_from(alphabet))
+            op = draw(st.sampled_from(["insert", "delete", "substitute"]))
+            if op == "insert" or at == len(b):
+                b.insert(at, token)
+            elif op == "delete":
+                del b[at]
+            else:
+                b[at] = token
+        b = "".join(b)
+    return a, b
+
+
+words = st.lists(st.sampled_from(["le", "chat", "noir", "le", "\U0001F600"]), max_size=80)
 
 
 class TestEditDistance:
@@ -121,3 +154,30 @@ class TestRates:
     @given(short_text.filter(bool), short_text)
     def test_cer_zero_iff_equal(self, reference, hypothesis):
         assert (cer(hypothesis, reference) == 0.0) == (hypothesis == reference)
+
+
+class TestBitParallelKernel:
+    @pytest.mark.parametrize("a, b", [("", ""), ("", "abc"), ("abc", ""), ([], ["le"])])
+    def test_empty_sides(self, a, b):
+        assert metrics._distance(a, b) == max(len(a), len(b))
+
+    @given(wide_text, wide_text)
+    def test_matches_recursive_oracle(self, a, b):
+        expected = brute_edit_distance(a, b)
+        assert metrics._distance(a, b) == expected
+        assert edit_distance(a, b).distance == metrics._distance(a, b)
+
+    @settings(deadline=None)
+    @given(long_pairs())
+    def test_matches_dp_on_long_inputs(self, pair):
+        a, b = pair
+        assert metrics._distance(a, b) == dp_distance(a, b)
+        assert metrics._distance(b, a) == dp_distance(a, b)
+
+    @settings(deadline=None)
+    @given(words, words)
+    def test_word_lists(self, hypothesis, reference):
+        assert metrics._distance(hypothesis, reference) == dp_distance(hypothesis, reference)
+        if reference:
+            expected = dp_distance(hypothesis, reference) / len(reference)
+            assert wer(" ".join(hypothesis), " ".join(reference)) == expected

@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aggrescribe import SourceKind, Granularity, build_lattice, rover_consensus, tokenize, vote
-from aggrescribe.rover import NULL, consensus_transcription
-from oracles import positional_consensus
+from aggrescribe.rover import NULL, TokenLattice, consensus_transcription
+from oracles import full_table_lattice, positional_consensus
 
 CHAR = Granularity.CHARACTER
 WORD = Granularity.WORD
@@ -89,6 +89,19 @@ class TestBuildLattice:
                 if token is not NULL:
                     in_slots[token] += count
         assert in_slots == Counter(chain.from_iterable(sequences))
+
+
+    @given(
+        st.lists(st.text(alphabet="ab c", max_size=30), min_size=1, max_size=5),
+        st.sampled_from([CHAR, WORD]),
+    )
+    def test_matches_full_table_merge(self, inputs, level):
+        sequences = [tokenize(t, level) for t in inputs]
+        expected = full_table_lattice(sequences)
+        lattice = build_lattice(sequences)
+        assert [dict(slot) for slot in lattice.slots] == [dict(slot) for slot in expected]
+        text = vote(TokenLattice(tuple(expected), len(inputs)), level).text
+        assert rover_consensus(inputs, level).text == (inputs[0] if len(inputs) == 1 else text)
 
 
 class TestVote:
