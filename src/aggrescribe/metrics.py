@@ -6,10 +6,13 @@ callers pass the lists produced by ``str.split()``.
 
 The rates, and through them RASA, the agreement score and the agreement
 split, all count edits with one kernel: Myers' bit-vector algorithm in
-Hyyrö's formulation (Myers 1999; Hyyrö 2003). It computes the Levenshtein
-distance a column at a time, with one Python int per bit vector, in
-O(len(longer)) big-int steps. Only ``edit_distance``, which must return an
-alignment, fills a full dynamic-programming table and traces back through it.
+Hyyrö's formulation (Myers 1999; Hyyrö 2003). It first trims the prefix and
+suffix the two inputs share, which leaves the distance unchanged, then
+computes the distance of the middles a column at a time, with one Python int
+per bit vector, in one big-int step per token of the longer middle.
+Near-identical readings thus cost a few steps, not one per character. Only
+``edit_distance``, which must return an alignment, fills a full
+dynamic-programming table and traces back through it.
 """
 
 from __future__ import annotations
@@ -83,12 +86,22 @@ def edit_distance(a: Sequence[str], b: Sequence[str]) -> EditAlignment:
 
 
 def _distance(a: Sequence[str], b: Sequence[str]) -> int:
+    # Shared ends never change a Levenshtein distance, so they are trimmed
+    # first, the suffix bounded by what the prefix left of the shorter side.
+    if len(a) > len(b):
+        a, b = b, a
+    m, n = len(a), len(b)
+    start = 0
+    while start < m and a[start] == b[start]:
+        start += 1
+    end = 0
+    while end < m - start and a[m - 1 - end] == b[n - 1 - end]:
+        end += 1
+    a, b = a[start : m - end], b[start : n - end]
     # Bit-parallel Levenshtein distance (Hyyrö 2003). Bit i of the vectors
     # stands for row i of the DP column over the shorter sequence, the
     # pattern; pv/mv mark the rows whose vertical delta is +1/-1. ``score``
     # follows the last row, which ends at the distance.
-    if len(a) > len(b):
-        a, b = b, a
     m = len(a)
     if not m:
         return len(b)

@@ -8,7 +8,7 @@ mean distance is clamped at 1 so the score never goes negative.
 
 from __future__ import annotations
 
-from statistics import fmean
+import math
 
 from .corpus import Corpus, Split, TranscribedLine, canonical_transcriptions
 from .metrics import sym_char_distance
@@ -25,7 +25,7 @@ def agreement_score(line: TranscribedLine) -> float:
     if not texts:
         raise ValueError(f"line {line.line_id!r} has no votable transcriptions")
     consensus = rover_consensus(texts, Granularity.CHARACTER).text
-    mean_distance = fmean(sym_char_distance(text, consensus) for text in texts)
+    mean_distance = math.fsum(sym_char_distance(text, consensus) for text in texts) / len(texts)
     return 100.0 * (1.0 - min(1.0, mean_distance))
 
 

@@ -4,6 +4,8 @@ The lattice (a word-transition network) grows by folding the input sequences
 one at a time: the current slot spine is aligned against the next sequence by
 dynamic programming, aligned tokens join existing slots, and unmatched tokens
 open new slots padded with a null marker for the sequences merged earlier.
+Slots are plain ``token -> count`` dicts; the spine is private to the fold,
+so each merge counts its tokens into the existing slots in place.
 
 Alignment minimizes ``(indels, substitutions)`` lexicographically, so a slot
 skip or a new slot is introduced only when a length difference forces one.
@@ -15,7 +17,9 @@ with ``n`` tokens takes at least ``|m - n|`` indels, and some path takes
 exactly that many, so every optimal path does, all of one kind; its diagonal
 ``j - i`` then moves monotonically from 0 to ``n - m``. The merge fills only
 those ``|m - n| + 1`` diagonals, and each cell there holds the full table's
-value, because the optimal paths into it stay on the band as well.
+value, because the optimal paths into it stay on the band as well. When the
+lengths are equal the band is the main diagonal alone, so the merge joins
+slot and token position by position and fills no table.
 
 Voting picks the highest-multiplicity entry of each slot. The null marker is
 eligible and wins only on strict plurality; among tied tokens the
@@ -25,7 +29,6 @@ not depend on slot-internal ordering.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -49,10 +52,14 @@ class Granularity(Enum):
 
 @dataclass(frozen=True)
 class TokenLattice:
-    """Ordered slots of competing tokens. Every slot's total multiplicity
-    equals ``num_inputs``, counting the null marker."""
+    """Ordered slots of competing tokens.
 
-    slots: tuple[Counter, ...]
+    Each slot is a plain ``token -> count`` dict holding only the entries
+    that occur, so looking up an absent token raises ``KeyError`` rather
+    than giving 0. Every slot's total multiplicity equals ``num_inputs``,
+    counting the null marker."""
+
+    slots: tuple[dict[str | None, int], ...]
     num_inputs: int
 
 
@@ -71,16 +78,24 @@ def tokenize(text: str, level: Granularity) -> list[str]:
     return text.split()
 
 
-def _merge(slots: list[Counter], merged: int, seq: Sequence[str]) -> list[Counter]:
+def _merge(slots: list[dict], merged: int, seq: Sequence[str]) -> list[dict]:
     """Align one new token sequence against the slot spine and fold it in.
 
-    Costs are encoded as ``indels * base + substitutions`` with ``base``
-    larger than any possible substitution count, which orders paths by
-    (indels, substitutions) lexicographically. Only the diagonals
+    The spine belongs to ``build_lattice``, so joined and skipped slots are
+    counted up in place and reused in the returned spine. Equal lengths
+    join position by position: the band is then the main diagonal alone.
+
+    Otherwise costs are encoded as ``indels * base + substitutions`` with
+    ``base`` larger than any possible substitution count, which orders paths
+    by (indels, substitutions) lexicographically. Only the diagonals
     ``j - i`` in ``[min(0, n - m), max(0, n - m)]`` are filled; see the module
     docstring for why that is exact.
     """
     m, n = len(slots), len(seq)
+    if m == n:
+        for slot, token in zip(slots, seq):
+            slot[token] = slot.get(token, 0) + 1
+        return slots
     base = min(m, n) + 1
     indel = base
     lo, hi = min(0, n - m), max(0, n - m)
@@ -102,23 +117,25 @@ def _merge(slots: list[Counter], merged: int, seq: Sequence[str]) -> list[Counte
                 row[j - 1] + indel,
             )
 
-    # Traceback, preferring joins over slot skips over new slots.
-    out: list[Counter] = []
+    # Traceback, preferring joins over slot skips over new slots. Each old
+    # slot is visited once, after its last membership test.
+    out: list[dict] = []
     i, j = m, n
     while i > 0 or j > 0:
         d = cost[i][j]
         if i > 0 and j > 0 and cost[i - 1][j - 1] + (seq[j - 1] not in slots[i - 1]) == d:
-            slot = slots[i - 1].copy()
-            slot[seq[j - 1]] += 1
+            slot = slots[i - 1]
+            token = seq[j - 1]
+            slot[token] = slot.get(token, 0) + 1
             out.append(slot)
             i, j = i - 1, j - 1
         elif i > 0 and cost[i - 1][j] + indel == d:
-            slot = slots[i - 1].copy()
-            slot[NULL] += 1
+            slot = slots[i - 1]
+            slot[NULL] = slot.get(NULL, 0) + 1
             out.append(slot)
             i -= 1
         else:
-            out.append(Counter({seq[j - 1]: 1, NULL: merged}))
+            out.append({seq[j - 1]: 1, NULL: merged})
             j -= 1
     out.reverse()
     return out
@@ -132,7 +149,7 @@ def build_lattice(sequences: Sequence[Sequence[str]]) -> TokenLattice:
     """
     if not sequences:
         raise ValueError("build_lattice requires at least one token sequence")
-    slots = [Counter({token: 1}) for token in sequences[0]]
+    slots = [{token: 1} for token in sequences[0]]
     merged = 1
     for seq in sequences[1:]:
         slots = _merge(slots, merged, seq)
@@ -144,9 +161,12 @@ def vote(lattice: TokenLattice, level: Granularity = Granularity.CHARACTER) -> C
     """Pick each slot's plurality entry and join the non-null winners."""
     winners: list[str | None] = []
     for slot in lattice.slots:
+        if len(slot) == 1:
+            winners.append(next(iter(slot)))
+            continue
         top = max(slot.values())
-        tied = sorted(t for t, count in slot.items() if count == top and t is not NULL)
-        winners.append(tied[0] if tied else NULL)
+        tied = [t for t, count in slot.items() if count == top and t is not NULL]
+        winners.append(min(tied) if tied else NULL)
     emitted = [w for w in winners if w is not NULL]
     joiner = "" if level is Granularity.CHARACTER else " "
     return ConsensusResult(

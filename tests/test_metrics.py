@@ -52,6 +52,15 @@ def long_pairs(draw):
 words = st.lists(st.sampled_from(["le", "chat", "noir", "le", "\U0001F600"]), max_size=80)
 
 
+@st.composite
+def shared_end_pairs(draw, tokens):
+    """Two sequences built as one prefix + two random middles + one suffix,
+    so the kernel's trim of shared ends has work to do. Small alphabets make
+    the middles overlap the ends."""
+    prefix, middle_a, middle_b, suffix = (draw(tokens) for _ in range(4))
+    return prefix + middle_a + suffix, prefix + middle_b + suffix
+
+
 class TestEditDistance:
     def test_both_empty(self):
         result = edit_distance("", "")
@@ -177,6 +186,51 @@ class TestBitParallelKernel:
     @settings(deadline=None)
     @given(words, words)
     def test_word_lists(self, hypothesis, reference):
+        assert metrics._distance(hypothesis, reference) == dp_distance(hypothesis, reference)
+        if reference:
+            expected = dp_distance(hypothesis, reference) / len(reference)
+            assert wer(" ".join(hypothesis), " ".join(reference)) == expected
+
+
+class TestSharedEndTrim:
+    @settings(deadline=None)
+    @given(shared_end_pairs(st.text(alphabet="ab\u00e9", max_size=70)))
+    def test_matches_dp_with_shared_ends(self, pair):
+        a, b = pair
+        assert metrics._distance(a, b) == dp_distance(a, b)
+        assert metrics._distance(b, a) == dp_distance(a, b)
+
+    @given(wide_text)
+    def test_identical_inputs(self, a):
+        assert metrics._distance(a, a) == 0
+        assert metrics._distance(list(a), list(a)) == 0
+
+    @given(wide_text, wide_text)
+    def test_one_input_is_a_prefix_or_suffix(self, a, extra):
+        assert metrics._distance(a, a + extra) == len(extra)
+        assert metrics._distance(extra + a, a) == len(extra)
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            ("aaa", "aa", 1),
+            ("ab", "aab", 1),
+            ("aba", "abba", 1),
+            ("abab", "ab", 2),
+            ("aXa", "aYYa", 2),
+            ("abcabc", "abc", 3),
+        ],
+    )
+    def test_repeated_characters_overlapping_ends(self, a, b, expected):
+        # Prefix and suffix scans may both match the same characters; the
+        # trim must stop where they would meet.
+        assert metrics._distance(a, b) == expected == brute_edit_distance(a, b)
+        assert metrics._distance(b, a) == expected
+
+    @settings(deadline=None)
+    @given(shared_end_pairs(words))
+    def test_word_lists_through_wer(self, pair):
+        hypothesis, reference = pair
         assert metrics._distance(hypothesis, reference) == dp_distance(hypothesis, reference)
         if reference:
             expected = dp_distance(hypothesis, reference) / len(reference)

@@ -103,6 +103,42 @@ class TestBuildLattice:
         text = vote(TokenLattice(tuple(expected), len(inputs)), level).text
         assert rover_consensus(inputs, level).text == (inputs[0] if len(inputs) == 1 else text)
 
+    @given(
+        equal_length_texts().map(lambda inputs: [tokenize(t, CHAR) for t in inputs])
+        | st.integers(0, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(st.sampled_from(["le", "la", "chat"]), min_size=n, max_size=n),
+                min_size=1,
+                max_size=5,
+            )
+        )
+    )
+    def test_equal_lengths_match_full_table_merge(self, sequences):
+        lattice = build_lattice(sequences)
+        assert len(lattice.slots) == len(sequences[0])
+        assert [dict(slot) for slot in lattice.slots] == [
+            dict(slot) for slot in full_table_lattice(sequences)
+        ]
+
+    @given(texts)
+    def test_builds_share_no_state(self, inputs):
+        sequences = [tokenize(t, CHAR) for t in inputs]
+        first = build_lattice(sequences)
+        snapshot = [dict(slot) for slot in first.slots]
+        second = build_lattice(sequences)
+        assert [dict(slot) for slot in second.slots] == snapshot
+        assert [dict(slot) for slot in first.slots] == snapshot
+        assert all(a is not b for a, b in zip(first.slots, second.slots))
+        # Every slot of one lattice is its own dict.
+        assert len({id(slot) for slot in first.slots}) == len(first.slots)
+
+    def test_slots_are_plain_dicts(self):
+        slot = build_lattice([list("ab"), list("ac")]).slots[1]
+        assert type(slot) is dict
+        assert slot == {"b": 1, "c": 1}
+        with pytest.raises(KeyError):
+            slot[NULL]
+
 
 class TestVote:
     def test_unanimous(self):
@@ -129,6 +165,20 @@ class TestVote:
 
     def test_token_ties_break_lexicographically(self):
         assert rover_consensus(["cat", "cot"], CHAR).text == "cat"
+
+    def test_tie_goes_to_smallest_real_token_whatever_the_slot_order(self):
+        slots = ({"o": 1, "a": 1, "e": 1, NULL: 1}, {"z": 2, "y": 2, NULL: 2}, {NULL: 1})
+        result = vote(TokenLattice(slots, 4), CHAR)
+        assert result.per_slot_winner == ("a", "y", NULL)
+        assert result.text == "ay"
+
+    @given(texts)
+    def test_winner_is_smallest_of_the_tied_real_tokens(self, inputs):
+        lattice = build_lattice([tokenize(t, CHAR) for t in inputs])
+        for winner, slot in zip(vote(lattice, CHAR).per_slot_winner, lattice.slots):
+            top = max(slot.values())
+            tied = sorted(t for t, count in slot.items() if count == top and t is not NULL)
+            assert winner == (tied[0] if tied else NULL)
 
 
 class TestRoverConsensus:
