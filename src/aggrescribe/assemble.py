@@ -8,19 +8,20 @@ on human ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
 
 from .corpus import (
-    _ROW_BREAK,
+    _breaks_row,
+    Record,
     SourceKind,
     Split,
     TranscribedLine,
     Transcription,
     TranscriptionSource,
     Corpus,
+    _set,
     atomic_write_text,
     canonical_transcriptions,
 )
@@ -36,12 +37,16 @@ class Strategy(Enum):
     ALL_WITH_AGGREGATES = "all"
 
 
-@dataclass(frozen=True)
-class EmissionRecord:
-    image_ref: str
-    text: str
-    split: Split
-    source: TranscriptionSource
+class EmissionRecord(Record):
+    __slots__ = ("image_ref", "text", "split", "source")
+
+    def __init__(
+        self, image_ref: str, text: str, split: Split, source: TranscriptionSource
+    ) -> None:
+        _set(self, "image_ref", image_ref)
+        _set(self, "text", text)
+        _set(self, "split", split)
+        _set(self, "source", source)
 
 
 _FILENAMES = {Split.TRAIN: "train.tsv", Split.VALIDATION: "val.tsv", Split.TEST: "test.tsv"}
@@ -131,7 +136,7 @@ def write_ground_truth(records: Sequence[EmissionRecord], directory: str | Path)
     buckets: dict[Split, list[str]] = {split: [] for split in Split}
     for record in records:
         for label, value in (("image_ref", record.image_ref), ("text", record.text)):
-            if _ROW_BREAK.search(value):
+            if _breaks_row(value):
                 raise ValueError(
                     f"{label} {value!r} contains a tab or newline and cannot be "
                     "written as a TSV row"

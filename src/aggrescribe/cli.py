@@ -16,10 +16,9 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Sequence
 from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
 
 from . import __version__
 from .assemble import Strategy, emit, write_ground_truth
@@ -75,6 +74,9 @@ def _map_lines(fn: Callable, lines: Sequence, threads: int) -> list:
     workers = min(threads, os.cpu_count() or 1, len(lines))
     if workers <= 1:
         return [fn(line) for line in lines]
+    # Imported here: a single-worker process never pays for the pool module.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, lines))
 

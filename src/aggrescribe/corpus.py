@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import tempfile
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, replace
+from collections.abc import Iterator
 from enum import Enum
 from pathlib import Path
-from typing import Iterator
 
 
 class ManifestError(ValueError):
@@ -45,11 +43,20 @@ class Split(Enum):
     TEST = "test"
 
 
+#: Manifest strings to members, for the parser. A list or object in the
+#: manifest is unhashable, so a lookup of one raises ``TypeError``.
+_KIND_BY_TAG = {kind.value: kind for kind in SourceKind}
+_SPLIT_BY_NAME = {split.value: split for split in Split}
+
 AGGREGATE_KINDS = frozenset({SourceKind.AGGREGATE_ROVER, SourceKind.AGGREGATE_RASA})
 
-#: The tab plus every character ``str.splitlines`` ends a line at; any of them
-#: inside a field would split or shift a TSV row for some reader.
-_ROW_BREAK = re.compile("[\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+def _breaks_row(value: str) -> bool:
+    """Whether ``value`` holds a tab or a character ``str.splitlines`` ends a
+    line at; any of them inside a field would split or shift a TSV row for
+    some reader."""
+    return "\t" in value or "".join(value.splitlines()) != value
+
 
 # Fold order for consensus voting: humans in manifest order, then the two
 # automatic sources. Aggregates never vote.
@@ -61,49 +68,105 @@ def normalize_text(text: str) -> str:
     return " ".join(unicodedata.normalize("NFC", text).split())
 
 
-@dataclass(frozen=True)
-class TranscriptionSource:
-    kind: SourceKind
-    annotator_id: str | None = None
+#: How a record's ``__init__`` sets its fields past ``Record.__setattr__``.
+_set = object.__setattr__
 
-    def __post_init__(self) -> None:
-        if self.annotator_id is not None and self.kind is not SourceKind.HUMAN:
+
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields, in order, as ``__slots__`` and sets them in
+    its own ``__init__`` through ``object.__setattr__``. Records compare
+    equal only to records of the same class whose fields are equal, hash and
+    print by their fields, and refuse assignment with ``AttributeError``.
+    Unlike a ``NamedTuple`` a record is not a tuple: it neither iterates nor
+    equals one. ``_replace(**changes)`` returns a copy with some fields
+    changed, built through ``__init__``, so the class's checks run again.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def _replace(self, **changes) -> "Record":
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        fields.update(changes)
+        return self.__class__(**fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # Copies and unpickled records go through __init__ like any other.
+        return self.__class__, self._values()
+
+
+class TranscriptionSource(Record):
+    __slots__ = ("kind", "annotator_id")
+
+    def __init__(self, kind: SourceKind, annotator_id: str | None = None) -> None:
+        if annotator_id is not None and kind is not SourceKind.HUMAN:
             raise ValueError("annotator_id is only allowed on human transcriptions")
+        _set(self, "kind", kind)
+        _set(self, "annotator_id", annotator_id)
 
 
-@dataclass(frozen=True)
-class Transcription:
+class Transcription(Record):
     """One candidate text for a line. The text is normalized on construction
     and must be non-empty afterwards."""
 
-    text: str
-    source: TranscriptionSource
-    uncertain: bool = False
+    __slots__ = ("text", "source", "uncertain")
 
-    def __post_init__(self) -> None:
-        cleaned = normalize_text(self.text)
+    def __init__(self, text: str, source: TranscriptionSource, uncertain: bool = False) -> None:
+        cleaned = normalize_text(text)
         if not cleaned:
             raise ValueError("transcription text is empty after normalization")
-        object.__setattr__(self, "text", cleaned)
+        _set(self, "text", cleaned)
+        _set(self, "source", source)
+        _set(self, "uncertain", uncertain)
 
 
-@dataclass(frozen=True)
-class TranscribedLine:
+class TranscribedLine(Record):
     """One text-line image with its set of candidate transcriptions."""
 
-    line_id: str
-    image_ref: str
-    transcriptions: tuple[Transcription, ...]
-    page_id: str | None = None
-    split: Split | None = None
-    agreement: float | None = None
+    __slots__ = ("line_id", "image_ref", "transcriptions", "page_id", "split", "agreement")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "transcriptions", tuple(self.transcriptions))
-        if not self.line_id:
+    def __init__(
+        self,
+        line_id: str,
+        image_ref: str,
+        transcriptions: tuple[Transcription, ...],
+        page_id: str | None = None,
+        split: Split | None = None,
+        agreement: float | None = None,
+    ) -> None:
+        transcriptions = tuple(transcriptions)
+        if not line_id:
             raise ValueError("line_id must be non-empty")
-        if not self.transcriptions:
-            raise ValueError(f"line {self.line_id!r} has no transcriptions")
+        if not transcriptions:
+            raise ValueError(f"line {line_id!r} has no transcriptions")
+        _set(self, "line_id", line_id)
+        _set(self, "image_ref", image_ref)
+        _set(self, "transcriptions", transcriptions)
+        _set(self, "page_id", page_id)
+        _set(self, "split", split)
+        _set(self, "agreement", agreement)
 
     def of_kind(self, kind: SourceKind) -> tuple[Transcription, ...]:
         return tuple(t for t in self.transcriptions if t.source.kind is kind)
@@ -119,28 +182,28 @@ class TranscribedLine:
         if kind not in AGGREGATE_KINDS:
             raise ValueError(f"{kind.value} is not an aggregate source")
         kept = tuple(t for t in self.transcriptions if t.source.kind is not kind)
-        return replace(self, transcriptions=kept + (transcription,))
+        return self._replace(transcriptions=kept + (transcription,))
 
     def with_split(self, split: Split) -> "TranscribedLine":
-        return replace(self, split=split)
+        return self._replace(split=split)
 
     def with_agreement(self, value: float) -> "TranscribedLine":
-        return replace(self, agreement=value)
+        return self._replace(agreement=value)
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(Record):
     """Immutable ordered collection of lines with distinct line_ids."""
 
-    lines: tuple[TranscribedLine, ...]
+    __slots__ = ("lines",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lines", tuple(self.lines))
+    def __init__(self, lines: tuple[TranscribedLine, ...]) -> None:
+        lines = tuple(lines)
         seen: set[str] = set()
-        for line in self.lines:
+        for line in lines:
             if line.line_id in seen:
                 raise ValueError(f"duplicate line_id {line.line_id!r}")
             seen.add(line.line_id)
+        _set(self, "lines", lines)
 
     def __len__(self) -> int:
         return len(self.lines)
@@ -161,7 +224,7 @@ def canonical_transcriptions(line: TranscribedLine) -> tuple[Transcription, ...]
     return tuple(out)
 
 
-def _parse_transcription(entry: object, context: str) -> Transcription:
+def _parse_transcription(entry: object, context: str, sources: dict) -> Transcription:
     if not isinstance(entry, dict):
         raise ManifestError(f"{context}: transcription entry must be an object")
     text = entry.get("text")
@@ -169,8 +232,8 @@ def _parse_transcription(entry: object, context: str) -> Transcription:
         raise ManifestError(f"{context}: transcription is missing a string 'text'")
     tag = entry.get("source")
     try:
-        kind = SourceKind(tag)
-    except ValueError:
+        kind = _KIND_BY_TAG[tag]
+    except (KeyError, TypeError):  # TypeError: a list or object as the tag
         raise ManifestError(f"{context}: unknown source tag {tag!r}") from None
     annotator = entry.get("annotator")
     if annotator is not None and not isinstance(annotator, str):
@@ -179,16 +242,15 @@ def _parse_transcription(entry: object, context: str) -> Transcription:
     if not isinstance(uncertain, bool):
         raise ManifestError(f"{context}: 'uncertain' must be a boolean")
     try:
-        return Transcription(
-            text=text,
-            source=TranscriptionSource(kind=kind, annotator_id=annotator),
-            uncertain=uncertain,
-        )
+        source = sources.get((tag, annotator))
+        if source is None:
+            source = sources[tag, annotator] = TranscriptionSource(kind, annotator)
+        return Transcription(text, source, uncertain)
     except ValueError as exc:
         raise ManifestError(f"{context}: {exc}") from exc
 
 
-def _parse_line(record: object, context: str) -> TranscribedLine:
+def _parse_line(record: object, context: str, sources: dict) -> TranscribedLine:
     if not isinstance(record, dict):
         raise ManifestError(f"{context}: record must be a JSON object")
     line_id = record.get("line_id")
@@ -198,7 +260,7 @@ def _parse_line(record: object, context: str) -> TranscribedLine:
     image = record.get("image")
     if not isinstance(image, str) or not image:
         raise ManifestError(f"{context}: missing or empty 'image'")
-    if _ROW_BREAK.search(image):
+    if _breaks_row(image):
         raise ManifestError(
             f"{context}: 'image' {image!r} contains a tab or newline and cannot be "
             "written as a TSV row"
@@ -210,8 +272,8 @@ def _parse_line(record: object, context: str) -> TranscribedLine:
     split = None
     if "split" in record:
         try:
-            split = Split(record["split"])
-        except ValueError:
+            split = _SPLIT_BY_NAME[record["split"]]
+        except (KeyError, TypeError):
             raise ManifestError(f"{context}: unknown split {record['split']!r}") from None
     agreement = record.get("agreement")
     if agreement is not None:
@@ -228,20 +290,17 @@ def _parse_line(record: object, context: str) -> TranscribedLine:
     entries = record.get("transcriptions")
     if not isinstance(entries, list) or not entries:
         raise ManifestError(f"{context}: 'transcriptions' must be a non-empty list")
-    transcriptions = tuple(_parse_transcription(e, context) for e in entries)
-    human_count = sum(1 for t in transcriptions if t.source.kind is SourceKind.HUMAN)
+    transcriptions = []
+    human_count = 0
+    for entry in entries:
+        t = _parse_transcription(entry, context, sources)
+        human_count += t.source.kind is SourceKind.HUMAN
+        transcriptions.append(t)
     if human_count not in (1, 2):
         raise ManifestError(
             f"{context}: expected 1 or 2 human transcriptions, found {human_count}"
         )
-    return TranscribedLine(
-        line_id=line_id,
-        image_ref=image,
-        transcriptions=transcriptions,
-        page_id=page_id,
-        split=split,
-        agreement=agreement,
-    )
+    return TranscribedLine(line_id, image, tuple(transcriptions), page_id, split, agreement)
 
 
 def _require_utf8(line: TranscribedLine, context: str) -> None:
@@ -268,12 +327,15 @@ def parse_manifest(path: str | Path) -> Corpus:
             unknown source tags, or any other schema violation.
     """
     path = Path(path)
+    name = path.name
     lines: list[TranscribedLine] = []
     seen: set[str] = set()
+    # One shared, immutable source per (tag, annotator) pair in this file.
+    sources: dict = {}
     # Binary mode, so that a decoding error names its line.
     with path.open("rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            context = f"{path.name}:{lineno}"
+            context = f"{name}:{lineno}"
             try:
                 text = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -290,7 +352,7 @@ def parse_manifest(path: str | Path) -> Corpus:
                 # An integer past the interpreter's digit limit, or nesting
                 # deeper than the decoder's recursion limit.
                 raise ManifestError(f"{context}: unreadable JSON ({exc})") from exc
-            line = _parse_line(record, context)
+            line = _parse_line(record, context, sources)
             # Only a \u escape can yield a lone surrogate, so lines without
             # one skip the check.
             if "\\u" in text:
@@ -323,14 +385,29 @@ def _line_record(line: TranscribedLine) -> dict:
     return record
 
 
+def _umask() -> int:
+    # The umask can only be read by setting it, so it is set straight back;
+    # a file some other thread creates meanwhile is owner-only, not open.
+    mask = os.umask(0o077)
+    os.umask(mask)
+    return mask
+
+
+#: The mode ``open`` gives a new file under the process's umask, read once at
+#: import; ``tempfile.mkstemp`` creates its files owner-only.
+_FILE_MODE = 0o666 & ~_umask()
+
+
 def atomic_write_text(path: str | Path, content: str) -> None:
     """Write a file via a temp file + rename so readers never see a partial
-    write and failures leave any previous file intact."""
+    write and failures leave any previous file intact. The file gets the
+    mode a plain ``open`` would give it under the umask."""
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(content)
+        os.chmod(tmp_name, _FILE_MODE)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -340,25 +417,35 @@ def atomic_write_text(path: str | Path, content: str) -> None:
         raise
 
 
+#: What ``json.dumps(record, ensure_ascii=False, allow_nan=False)`` builds
+#: for every call, built once.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
+
+
 def write_manifest(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus as newline-delimited JSON, preserving line order.
 
     ``parse_manifest(write_manifest(c))`` reproduces ``c`` line for line, and
     rewriting an unchanged corpus is byte-identical.
     """
-    body = "".join(
-        json.dumps(_line_record(line), ensure_ascii=False, allow_nan=False) + "\n"
-        for line in corpus.lines
-    )
+    body = "".join(_ENCODER.encode(_line_record(line)) + "\n" for line in corpus.lines)
     atomic_write_text(path, body)
 
 
-@dataclass(frozen=True)
-class StatsReport:
-    total_lines: int
-    two_human_lines: int
-    per_source: dict[str, int]
-    transcriptions_per_line: dict[int, int]
+class StatsReport(Record):
+    __slots__ = ("total_lines", "two_human_lines", "per_source", "transcriptions_per_line")
+
+    def __init__(
+        self,
+        total_lines: int,
+        two_human_lines: int,
+        per_source: dict[str, int],
+        transcriptions_per_line: dict[int, int],
+    ) -> None:
+        _set(self, "total_lines", total_lines)
+        _set(self, "two_human_lines", two_human_lines)
+        _set(self, "per_source", per_source)
+        _set(self, "transcriptions_per_line", transcriptions_per_line)
 
     @property
     def two_human_share(self) -> float:

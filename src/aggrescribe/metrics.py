@@ -17,8 +17,9 @@ dynamic-programming table and traces back through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
+
+from .corpus import Record, _set
 
 MATCH = "match"
 SUBSTITUTE = "substitute"
@@ -26,8 +27,7 @@ DELETE = "delete"
 INSERT = "insert"
 
 
-@dataclass(frozen=True)
-class EditAlignment:
+class EditAlignment(Record):
     """Minimum unit-cost edit distance together with one optimal alignment.
 
     ``ops`` is a tuple of ``(kind, i, j)`` steps where ``i`` indexes the
@@ -38,8 +38,11 @@ class EditAlignment:
     delete, then insert, so the result is deterministic.
     """
 
-    distance: int
-    ops: tuple[tuple[str, int | None, int | None], ...]
+    __slots__ = ("distance", "ops")
+
+    def __init__(self, distance: int, ops: tuple[tuple[str, int | None, int | None], ...]) -> None:
+        _set(self, "distance", distance)
+        _set(self, "ops", ops)
 
 
 def edit_distance(a: Sequence[str], b: Sequence[str]) -> EditAlignment:

@@ -13,15 +13,16 @@ has only a handful of candidates, so the iteration runs on plain Python floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .metrics import sym_char_distance
 from .corpus import (
+    Record,
     SourceKind,
     TranscribedLine,
     Transcription,
     TranscriptionSource,
+    _set,
     canonical_transcriptions,
 )
 
@@ -39,8 +40,7 @@ TOLERANCE = 1e-6
 TIE_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class RasaSelection:
+class RasaSelection(Record):
     """Chosen input index plus the final per-candidate reliability weights.
 
     ``iterations`` counts update steps taken; ``converged`` reports whether
@@ -48,10 +48,15 @@ class RasaSelection:
     Near-degenerate inputs may run to the cap; the selection is still valid.
     """
 
-    index: int
-    weights: tuple[float, ...]
-    iterations: int
-    converged: bool
+    __slots__ = ("index", "weights", "iterations", "converged")
+
+    def __init__(
+        self, index: int, weights: tuple[float, ...], iterations: int, converged: bool
+    ) -> None:
+        _set(self, "index", index)
+        _set(self, "weights", weights)
+        _set(self, "iterations", iterations)
+        _set(self, "converged", converged)
 
 
 def distance_matrix(texts: Sequence[str]) -> list[list[float]]:

@@ -29,15 +29,16 @@ not depend on slot-internal ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from enum import Enum
-from typing import Sequence
 
 from .corpus import (
+    Record,
     SourceKind,
     TranscribedLine,
     Transcription,
     TranscriptionSource,
+    _set,
     canonical_transcriptions,
 )
 
@@ -50,8 +51,7 @@ class Granularity(Enum):
     WORD = "word"
 
 
-@dataclass(frozen=True)
-class TokenLattice:
+class TokenLattice(Record):
     """Ordered slots of competing tokens.
 
     Each slot is a plain ``token -> count`` dict holding only the entries
@@ -59,15 +59,22 @@ class TokenLattice:
     than giving 0. Every slot's total multiplicity equals ``num_inputs``,
     counting the null marker."""
 
-    slots: tuple[dict[str | None, int], ...]
-    num_inputs: int
+    __slots__ = ("slots", "num_inputs")
+
+    def __init__(self, slots: tuple[dict[str | None, int], ...], num_inputs: int) -> None:
+        _set(self, "slots", slots)
+        _set(self, "num_inputs", num_inputs)
 
 
-@dataclass(frozen=True)
-class ConsensusResult:
-    text: str
-    lattice: TokenLattice
-    per_slot_winner: tuple[str | None, ...]
+class ConsensusResult(Record):
+    __slots__ = ("text", "lattice", "per_slot_winner")
+
+    def __init__(
+        self, text: str, lattice: TokenLattice, per_slot_winner: tuple[str | None, ...]
+    ) -> None:
+        _set(self, "text", text)
+        _set(self, "lattice", lattice)
+        _set(self, "per_slot_winner", per_slot_winner)
 
 
 def tokenize(text: str, level: Granularity) -> list[str]:

@@ -9,7 +9,7 @@ sizes, so a given seed always reproduces the same manifest byte for byte.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, MutableSequence
+from collections.abc import Iterable, Mapping, MutableSequence
 
 from .corpus import Corpus, Split
 from .metrics import sym_char_distance

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -183,7 +185,7 @@ class TestThreads:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         items = list(range(lines))
         assert cli._map_lines(lambda x: x * x, items, threads) == [x * x for x in items]
@@ -191,21 +193,24 @@ class TestThreads:
         assert created == ([] if workers is None else [workers])
 
 
+_STARTS = pytest.mark.parametrize(
+    "code",
+    [
+        "import aggrescribe.cli",
+        # what ``python -m aggrescribe --version`` runs
+        "import runpy\n"
+        "sys.argv = ['aggrescribe', '--version']\n"
+        "try:\n"
+        "    runpy.run_module('aggrescribe', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code",
+    ],
+    ids=["import-cli", "version"],
+)
+
+
 class TestImports:
-    @pytest.mark.parametrize(
-        "code",
-        [
-            "import aggrescribe.cli",
-            # what ``python -m aggrescribe --version`` runs
-            "import runpy\n"
-            "sys.argv = ['aggrescribe', '--version']\n"
-            "try:\n"
-            "    runpy.run_module('aggrescribe', run_name='__main__', alter_sys=True)\n"
-            "except SystemExit as exc:\n"
-            "    assert exc.code == 0, exc.code",
-        ],
-        ids=["import-cli", "version"],
-    )
+    @_STARTS
     def test_numpy_not_imported(self, tmp_path, code):
         proc = subprocess.run(
             [sys.executable, "-c", f"import sys\n{code}\nprint('numpy' in sys.modules)"],
@@ -217,6 +222,61 @@ class TestImports:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
+
+    @_STARTS
+    def test_start_up_loads_no_heavy_module(self, tmp_path, code):
+        # Each of these costs a start several milliseconds; only modules the
+        # start itself loads count, not those the interpreter's site loaded.
+        heavy = ["dataclasses", "inspect", "concurrent.futures"]
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                f"import sys\nbefore = set(sys.modules)\n{code}\n"
+                f"print(sorted(m for m in {heavy!r} if m in set(sys.modules) - before))",
+            ],
+            cwd=tmp_path,
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+
+class TestFileModes:
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]
+    )
+    def test_outputs_follow_the_umask(self, tmp_path, umask, mode):
+        # The umask is read at import, so the stages run as child processes,
+        # which inherit it.
+        previous = os.umask(umask)
+        try:
+            for argv in (
+                ["split", FIXTURE, "-o", tmp_path / "split.jsonl", "--mode", "agreement"],
+                ["emit", tmp_path / "split.jsonl", "--strategy", "all-human",
+                 "--out", tmp_path / "gt"],
+            ):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "aggrescribe", *map(str, argv)],
+                    cwd=tmp_path,
+                    env=child_env(),
+                    capture_output=True,
+                    text=True,
+                    timeout=60,
+                )
+                assert proc.returncode == 0, proc.stderr
+        finally:
+            os.umask(previous)
+        outputs = [tmp_path / "split.jsonl", *sorted((tmp_path / "gt").iterdir())]
+        assert [p.name for p in outputs] == [
+            "split.jsonl", "summary.json", "test.tsv", "train.tsv", "val.tsv"
+        ]
+        assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in outputs} == {
+            p.name: mode for p in outputs
+        }
 
 
 def manifest_line(**fields) -> dict:
@@ -298,6 +358,18 @@ class TestManifestBoundary:
         assert run("validate", bad) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "bad.jsonl:2 (line_id 'B')" in err and repr(image) in err
+
+    def test_list_as_source_tag_is_validation_error(self, tmp_path, capsys):
+        rec = manifest_line(line_id="B")
+        rec["transcriptions"][0]["source"] = ["human"]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            json.dumps(manifest_line()) + "\n" + json.dumps(rec) + "\n", encoding="utf-8"
+        )
+        assert run("validate", bad) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "aggrescribe: manifest error: bad.jsonl:2 (line_id 'B'): " \
+            "unknown source tag ['human']\n"
 
     def test_programming_error_is_not_a_manifest_error(self, tmp_path, monkeypatch):
         def broken(line):

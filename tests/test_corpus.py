@@ -171,6 +171,63 @@ class TestParse:
             parse_manifest(path)
 
     @pytest.mark.parametrize(
+        "value",
+        [["human"], {"human": 1}, True, 3, 2.5],
+        ids=["list", "dict", "bool", "int", "float"],
+    )
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("source", "unknown source tag {value!r}"),
+            ("split", "unknown split {value!r}"),
+            ("annotator", "'annotator' must be a string"),
+        ],
+    )
+    def test_odd_typed_value_rejected(self, tmp_path, field, message, value):
+        rec = record("L1")
+        if field == "split":
+            rec["split"] = value
+        else:
+            rec["transcriptions"][0][field] = value
+        path = tmp_path / "odd.jsonl"
+        write_records(path, [record("L0"), rec])
+        expected = "odd.jsonl:2 (line_id 'L1'): " + message.format(value=value)
+        with pytest.raises(ManifestError) as excinfo:
+            parse_manifest(path)
+        assert str(excinfo.value) == expected
+
+    def test_annotator_on_auto_rejected_after_same_annotator_on_human(self, tmp_path):
+        # Sources are shared per (tag, annotator) pair; a human source for
+        # "u1" must not let "u1" through on an automatic one.
+        first, second = record("L1"), record("L2")
+        first["transcriptions"][0]["annotator"] = "u1"
+        second["transcriptions"][1]["annotator"] = "u1"
+        path = tmp_path / "annot.jsonl"
+        write_records(path, [first, second])
+        with pytest.raises(ManifestError) as excinfo:
+            parse_manifest(path)
+        assert str(excinfo.value) == (
+            "annot.jsonl:2 (line_id 'L2'): annotator_id is only allowed on human transcriptions"
+        )
+
+    def test_sources_shared_within_a_parse_only(self, tmp_path):
+        recs = [record(f"L{i}", n_human=2) for i in range(3)]
+        recs[0]["transcriptions"][0]["annotator"] = "u1"
+        recs[2]["transcriptions"][1]["annotator"] = "u1"
+        path = tmp_path / "shared.jsonl"
+        write_records(path, recs)
+        corpus = parse_manifest(path)
+        by_pair = {}
+        for line in corpus:
+            for t in line.transcriptions:
+                key = (t.source.kind, t.source.annotator_id)
+                assert by_pair.setdefault(key, t.source) is t.source
+        assert len(by_pair) == 3
+        again = parse_manifest(path)
+        assert again == corpus
+        assert again.lines[0].transcriptions[0].source is not by_pair[SourceKind.HUMAN, "u1"]
+
+    @pytest.mark.parametrize(
         "body",
         ["[" * 100_000 + "]" * 100_000, '{"line_id": ' + "9" * 5000 + "}"],
         ids=["deep-nesting", "5000-digit-int"],
