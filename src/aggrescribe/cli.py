@@ -5,9 +5,10 @@ human-readable summary table to stdout and, with ``--json``, a
 machine-readable summary to stderr. Exit codes: 1 usage error, 2 manifest
 validation failure, 3 I/O failure.
 
-Set ``AGGRESCRIBE_THREADS`` to parallelize per-line work in ``aggregate`` and
-``agree`` on up to that many worker threads, at most one per CPU and per line;
-outputs are identical to single-threaded runs.
+Set ``AGGRESCRIBE_THREADS`` to spread the per-line work of ``aggregate`` and
+``agree`` over up to that many forked worker processes, at most one per CPU and
+per line. Where the platform has no ``fork``, the work runs inline. The output
+bytes are identical either way.
 """
 
 from __future__ import annotations
@@ -72,13 +73,82 @@ def _map_lines(fn: Callable, lines: Sequence, threads: int) -> list:
     # are byte-identical to sequential ones. No more workers than CPUs or
     # lines, whatever the environment asks for.
     workers = min(threads, os.cpu_count() or 1, len(lines))
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return [fn(line) for line in lines]
-    # Imported here: a single-worker process never pays for the pool module.
-    from concurrent.futures import ThreadPoolExecutor
+    return _forked_map(fn, lines, workers)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, lines))
+
+def _forked_map(fn: Callable, lines: Sequence, workers: int) -> list:
+    """``[fn(line) for line in lines]`` over ``workers`` processes.
+
+    The lines are cut into contiguous chunks. A forked child computes each
+    chunk but the last, which this process computes itself. Children inherit
+    ``fn`` and the lines, so only their results, or the exception they raised,
+    are pickled, into one pipe per child. Every child is reaped before this
+    returns or raises. The first exception in chunk order is raised, with the
+    type and message an inline run would raise.
+    """
+    # Imported here: a single-worker process never pays for it.
+    import pickle
+
+    cuts = [len(lines) * k // workers for k in range(workers + 1)]
+    children = []  # (pid, read end of the child's pipe)
+    try:
+        for k in range(workers - 1):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                os.close(read_end)
+                _child(fn, lines[cuts[k] : cuts[k + 1]], write_end)
+            os.close(write_end)
+            children.append((pid, os.fdopen(read_end, "rb")))
+        try:
+            own = [fn(line) for line in lines[cuts[-2] :]]
+        except Exception as exc:
+            own = exc
+        received = [reader.read() for _, reader in children]
+    finally:
+        statuses = []
+        for pid, reader in children:
+            reader.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    outcomes = []
+    for (pid, _), data, status in zip(children, received, statuses):
+        if status != 0:
+            code = os.waitstatus_to_exitcode(status)
+            raise ChildProcessError(f"worker process {pid} exited with status {code}")
+        outcomes.append(pickle.loads(data))
+    outcomes.append(own)
+    results = []
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+        results.extend(outcome)
+    return results
+
+
+def _child(fn: Callable, chunk: Sequence, write_end: int) -> None:
+    # A forked child never returns into its parent's code: it leaves through
+    # os._exit, which also skips the parent's atexit handlers and unflushed
+    # buffers. A nonzero status tells the parent that no outcome was sent.
+    import pickle
+
+    status = 1
+    try:
+        try:
+            outcome = [fn(line) for line in chunk]
+        except Exception as exc:
+            outcome = exc
+        with os.fdopen(write_end, "wb") as out:
+            pickle.dump(outcome, out, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _sizes(text: str) -> tuple[int, int, int]:

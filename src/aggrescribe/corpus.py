@@ -15,9 +15,9 @@ as character edits downstream.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-import tempfile
 import unicodedata
 from collections import Counter
 from collections.abc import Iterator
@@ -385,17 +385,12 @@ def _line_record(line: TranscribedLine) -> dict:
     return record
 
 
-def _umask() -> int:
-    # The umask can only be read by setting it, so it is set straight back;
-    # a file some other thread creates meanwhile is owner-only, not open.
-    mask = os.umask(0o077)
-    os.umask(mask)
-    return mask
+#: Numbers this process's temp files, so that a name is unique per process.
+_TEMP_NUMBERS = itertools.count()
 
-
-#: The mode ``open`` gives a new file under the process's umask, read once at
-#: import; ``tempfile.mkstemp`` creates its files owner-only.
-_FILE_MODE = 0o666 & ~_umask()
+#: A new file only (``O_EXCL`` fails on any existing name, a symlink
+#: included), with no newline translation where the platform has ``O_BINARY``.
+_CREATE_NEW = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
 
 
 def atomic_write_text(path: str | Path, content: str) -> None:
@@ -403,15 +398,21 @@ def atomic_write_text(path: str | Path, content: str) -> None:
     write and failures leave any previous file intact. The file gets the
     mode a plain ``open`` would give it under the umask."""
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    while True:
+        tmp = path.parent / f".{path.name}.{os.getpid()}.{next(_TEMP_NUMBERS)}.tmp"
+        try:
+            # The kernel applies the umask to 0o666, as it does for ``open``.
+            fd = os.open(tmp, _CREATE_NEW, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(content)
-        os.chmod(tmp_name, _FILE_MODE)
-        os.replace(tmp_name, path)
+        os.replace(tmp, path)
     except BaseException:
         try:
-            os.unlink(tmp_name)
+            os.unlink(tmp)
         except OSError:
             pass
         raise

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from aggrescribe import cli, parse_manifest
+from aggrescribe import ManifestError, cli, parse_manifest
 from aggrescribe.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from conftest import child_env
 
@@ -170,27 +170,73 @@ class TestThreads:
     ):
         created = []
 
-        class RecordingPool:
-            """Records its worker count and maps in the calling thread."""
+        def recording_map(fn, items, count):
+            """Records its worker count and maps in the calling process."""
+            created.append(count)
+            return [fn(x) for x in items]
 
-            def __init__(self, max_workers):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_forked_map", recording_map)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         items = list(range(lines))
         assert cli._map_lines(lambda x: x * x, items, threads) == [x * x for x in items]
-        # workers None: the lines run in the calling thread, with no pool
+        # workers None: the lines run in the calling process, with no fork
         assert created == ([] if workers is None else [workers])
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raised(fn, items, threads):
+    with pytest.raises(Exception) as excinfo:
+        cli._map_lines(fn, items, threads)
+    return type(excinfo.value), str(excinfo.value)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedMap:
+    @pytest.fixture(autouse=True)
+    def _cpus(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+
+    def test_uneven_chunks_keep_order(self):
+        # 7 lines on 3 workers: chunks of 2, 2 and 3, the last one this process's
+        results = cli._map_lines(lambda x: (x * x, os.getpid()), range(7), 3)
+        assert [square for square, _ in results] == [x * x for x in range(7)]
+        pids = [pid for _, pid in results]
+        assert pids[0] == pids[1] != pids[2] == pids[3] != pids[4]
+        assert pids[4:] == [os.getpid()] * 3
+        assert os.getpid() not in pids[:4]
+        _no_child_left()
+
+    @pytest.mark.parametrize("bad", [{1}, {3}, {5}, {1, 5}, {3, 5}], ids=repr)
+    def test_first_exception_in_chunk_order_as_inline(self, bad):
+        def check(x):
+            if x in bad:
+                raise ManifestError(f"manifest.jsonl:{x + 1}: bad line {x}")
+            return x
+
+        inline = _raised(check, range(7), 1)
+        assert inline == (ManifestError, f"manifest.jsonl:{min(bad) + 1}: bad line {min(bad)}")
+        assert _raised(check, range(7), 3) == inline
+        _no_child_left()
+
+    def test_dead_worker_is_reported(self):
+        def die_in_first_chunk(x):
+            if x == 0:
+                os._exit(7)
+            return x
+
+        with pytest.raises(ChildProcessError, match="exited with status 7"):
+            cli._map_lines(die_in_first_chunk, range(4), 2)
+        _no_child_left()
+
+    def test_inline_without_fork(self, monkeypatch):
+        monkeypatch.delattr(cli.os, "fork")
+        assert cli._map_lines(lambda x: (x, os.getpid()), range(5), 4) == [
+            (x, os.getpid()) for x in range(5)
+        ]
 
 
 _STARTS = pytest.mark.parametrize(
@@ -227,7 +273,10 @@ class TestImports:
     def test_start_up_loads_no_heavy_module(self, tmp_path, code):
         # Each of these costs a start several milliseconds; only modules the
         # start itself loads count, not those the interpreter's site loaded.
-        heavy = ["dataclasses", "inspect", "concurrent.futures"]
+        heavy = [
+            "dataclasses", "inspect", "concurrent.futures", "multiprocessing", "pickle",
+            "tempfile",
+        ]
         proc = subprocess.run(
             [
                 sys.executable,
