@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .corpus import (
     _breaks_row,
+    ManifestError,
     Record,
     SourceKind,
     Split,
@@ -56,7 +57,7 @@ def _aggregate(line: TranscribedLine, kind: SourceKind) -> Transcription:
     for t in line.transcriptions:
         if t.source.kind is kind:
             return t
-    raise ValueError(
+    raise ManifestError(
         f"line {line.line_id!r} has no {kind.value} transcription; run the "
         "matching aggregation step first"
     )
@@ -66,7 +67,7 @@ def _select(line: TranscribedLine, strategy: Strategy, rng: SeededRng) -> list[T
     humans = list(line.human_transcriptions)
     if strategy is Strategy.RANDOM_ONE:
         if not humans:
-            raise ValueError(f"line {line.line_id!r} has no human transcription")
+            raise ManifestError(f"line {line.line_id!r} has no human transcription")
         return [humans[rng.randbelow(len(humans))]]
     if strategy is Strategy.RASA_ONE:
         return [_aggregate(line, SourceKind.AGGREGATE_RASA)]
@@ -93,18 +94,18 @@ def emit(corpus: Corpus, strategy: Strategy, seed: int = 0) -> list[EmissionReco
     the same records.
 
     Raises:
-        ValueError: if a line has no split, or the strategy needs an
-            aggregate transcription the line does not carry.
+        ManifestError: if a line has no split, or lacks the human or aggregate
+            transcription the strategy needs.
     """
     rng = SeededRng(seed)
     records: list[EmissionRecord] = []
     for line in corpus.lines:
         if line.split is None:
-            raise ValueError(f"line {line.line_id!r} has no split annotation")
+            raise ManifestError(f"line {line.line_id!r} has no split annotation")
         if line.split is Split.TEST:
             humans = line.human_transcriptions
             if not humans:
-                raise ValueError(f"test line {line.line_id!r} has no human transcription")
+                raise ManifestError(f"test line {line.line_id!r} has no human transcription")
             chosen: Sequence[Transcription] = (humans[0],)
         else:
             chosen = _select(line, strategy, rng)

@@ -2,8 +2,9 @@
 
 Every subcommand reads a manifest, writes outputs atomically, prints a
 human-readable summary table to stdout and, with ``--json``, a
-machine-readable summary to stderr. Exit codes: 1 usage error, 2 manifest
-validation failure, 3 I/O failure.
+machine-readable summary to stderr. Exit codes: 1 usage error, 2 a manifest
+that fails validation or holds a line the step cannot use, 3 I/O failure. Any
+other exception is a bug and propagates.
 
 Set ``AGGRESCRIBE_THREADS`` to spread the per-line work of ``aggregate`` and
 ``agree`` over up to that many forked worker processes, at most one per CPU and
@@ -308,10 +309,7 @@ def cmd_split(args: argparse.Namespace) -> dict:
 
 def cmd_filter(args: argparse.Namespace) -> dict:
     corpus = parse_manifest(args.manifest)
-    try:
-        filtered = filter_by_agreement(corpus, args.min_agreement)
-    except ValueError as exc:
-        raise ManifestError(str(exc)) from exc
+    filtered = filter_by_agreement(corpus, args.min_agreement)
     write_manifest(filtered, args.output)
 
     before = split_counts(line.split for line in corpus.lines)
@@ -340,11 +338,8 @@ def cmd_filter(args: argparse.Namespace) -> dict:
 def cmd_emit(args: argparse.Namespace) -> dict:
     corpus = parse_manifest(args.manifest)
     strategy = Strategy(args.strategy)
-    try:
-        records = emit(corpus, strategy, seed=args.seed)
-        write_ground_truth(records, args.out)
-    except ValueError as exc:
-        raise ManifestError(str(exc)) from exc
+    records = emit(corpus, strategy, seed=args.seed)
+    write_ground_truth(records, args.out)
     counts = {
         "train": sum(1 for r in records if r.split is Split.TRAIN),
         "val": sum(1 for r in records if r.split is Split.VALIDATION),

@@ -26,7 +26,7 @@ from pathlib import Path
 
 
 class ManifestError(ValueError):
-    """A manifest file or record violates the schema."""
+    """A manifest violates the schema, or holds a line that a step cannot use."""
 
 
 class SourceKind(Enum):

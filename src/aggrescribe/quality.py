@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .corpus import Corpus, Split, TranscribedLine, canonical_transcriptions
+from .corpus import Corpus, ManifestError, Split, TranscribedLine, canonical_transcriptions
 from .metrics import sym_char_distance
 from .rover import Granularity, rover_consensus
 
@@ -23,7 +23,7 @@ def agreement_score(line: TranscribedLine) -> float:
     """
     texts = [t.text for t in canonical_transcriptions(line)]
     if not texts:
-        raise ValueError(f"line {line.line_id!r} has no votable transcriptions")
+        raise ManifestError(f"line {line.line_id!r} has no votable transcriptions")
     consensus = rover_consensus(texts, Granularity.CHARACTER).text
     mean_distance = math.fsum(sym_char_distance(text, consensus) for text in texts) / len(texts)
     return 100.0 * (1.0 - min(1.0, mean_distance))
@@ -42,20 +42,21 @@ def filter_by_agreement(corpus: Corpus, threshold: float) -> Corpus:
     is retained.
 
     Raises:
-        ValueError: on a threshold outside [0, 100], a line without a split,
-            or a train line without an agreement score.
+        ValueError: on a threshold outside [0, 100].
+        ManifestError: on a line without a split, or a train line without an
+            agreement score.
     """
     if not 0.0 <= threshold <= 100.0:
         raise ValueError(f"threshold must be in [0, 100], got {threshold}")
     kept = []
     for line in corpus.lines:
         if line.split is None:
-            raise ValueError(f"line {line.line_id!r} has no split annotation")
+            raise ManifestError(f"line {line.line_id!r} has no split annotation")
         if line.split is not Split.TRAIN:
             kept.append(line)
             continue
         if line.agreement is None:
-            raise ValueError(f"train line {line.line_id!r} has no agreement score")
+            raise ManifestError(f"train line {line.line_id!r} has no agreement score")
         if line.agreement >= threshold:
             kept.append(line)
     return Corpus(tuple(kept))

@@ -17,6 +17,7 @@ from collections.abc import Sequence
 
 from .metrics import sym_char_distance
 from .corpus import (
+    ManifestError,
     Record,
     SourceKind,
     TranscribedLine,
@@ -127,7 +128,7 @@ def selected_transcription(line: TranscribedLine) -> Transcription:
     aggregate source."""
     texts = [t.text for t in canonical_transcriptions(line)]
     if not texts:
-        raise ValueError(f"line {line.line_id!r} has no votable transcriptions")
+        raise ManifestError(f"line {line.line_id!r} has no votable transcriptions")
     pick = rasa_select(texts)
     return Transcription(
         text=texts[pick.index], source=TranscriptionSource(SourceKind.AGGREGATE_RASA)

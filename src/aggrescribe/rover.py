@@ -33,6 +33,7 @@ from collections.abc import Sequence
 from enum import Enum
 
 from .corpus import (
+    ManifestError,
     Record,
     SourceKind,
     TranscribedLine,
@@ -212,9 +213,9 @@ def consensus_transcription(
     an aggregate source."""
     texts = [t.text for t in canonical_transcriptions(line)]
     if not texts:
-        raise ValueError(f"line {line.line_id!r} has no votable transcriptions")
+        raise ManifestError(f"line {line.line_id!r} has no votable transcriptions")
     text = rover_consensus(texts, level).text
     try:
         return Transcription(text=text, source=TranscriptionSource(SourceKind.AGGREGATE_ROVER))
     except ValueError:
-        raise ValueError(f"consensus for line {line.line_id!r} is empty") from None
+        raise ManifestError(f"consensus for line {line.line_id!r} is empty") from None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, MutableSequence
 
-from .corpus import Corpus, Split
+from .corpus import Corpus, ManifestError, Split
 from .metrics import sym_char_distance
 
 #: Two human transcriptions closer than this (but not identical) validate.
@@ -55,13 +55,13 @@ def agreement_split(corpus: Corpus) -> dict[str, Split]:
     (the 5% boundary included) trains.
 
     Raises:
-        ValueError: if a line has no human transcription.
+        ManifestError: if a line has no human transcription.
     """
     assignments: dict[str, Split] = {}
     for line in corpus.lines:
         humans = line.human_transcriptions
         if not humans:
-            raise ValueError(f"line {line.line_id!r} has no human transcription")
+            raise ManifestError(f"line {line.line_id!r} has no human transcription")
         if len(humans) == 2:
             distance = sym_char_distance(humans[0].text, humans[1].text)
             if distance == 0.0:

@@ -7,11 +7,23 @@ from hypothesis import strategies as st
 from aggrescribe import (
     Corpus,
     EmissionRecord,
+    Granularity,
+    ManifestError,
     SourceKind,
     Split,
     Strategy,
+    TranscribedLine,
+    Transcription,
     TranscriptionSource,
+    agreement_score,
+    agreement_split,
+    apply_split,
+    consensus_transcription,
     emit,
+    filter_by_agreement,
+    random_split,
+    rover_consensus,
+    selected_transcription,
     write_ground_truth,
 )
 from conftest import build_line
@@ -185,3 +197,93 @@ class TestWriteGroundTruth:
         target = tmp_path / "nested" / "gt"
         write_ground_truth([], target)
         assert (target / "train.tsv").exists()
+
+
+def _one(line):
+    return Corpus((line,))
+
+
+# Two human and three automatic readings whose word-level consensus is empty.
+_EMPTY_CONSENSUS = TranscribedLine(
+    "A",
+    "images/A.png",
+    tuple(
+        Transcription(text, TranscriptionSource(kind))
+        for text, kind in [
+            ("a ab b", SourceKind.HUMAN),
+            ("ab", SourceKind.HUMAN),
+            ("a", SourceKind.AUTO_PYLAIA),
+            ("bbab", SourceKind.AUTO_DAN),
+            ("bbb", SourceKind.AUTO_PYLAIA),
+        ]
+    ),
+)
+_NO_HUMAN = build_line("A", humans=(), autos=("x",))
+_ONLY_AGGREGATE = build_line("A", humans=(), rasa="x")
+
+
+class TestErrorKinds:
+    """A line a step cannot use raises ``ManifestError``, which the CLI reports
+    as exit 2; a bad argument from the caller stays a plain ``ValueError``."""
+
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            (lambda: filter_by_agreement(_one(build_line("A", agreement=90.0)), 50.0),
+             "line 'A' has no split annotation"),
+            (lambda: filter_by_agreement(_one(build_line("A", split=Split.TRAIN)), 50.0),
+             "train line 'A' has no agreement score"),
+            (lambda: emit(_one(build_line("A")), Strategy.ALL_HUMAN),
+             "line 'A' has no split annotation"),
+            (lambda: emit(_one(build_line("A", split=Split.TRAIN)), Strategy.ROVER_ONE),
+             "line 'A' has no aggregate:rover transcription"),
+            (lambda: emit(_one(build_line("A", split=Split.TRAIN)), Strategy.ALL_WITH_AGGREGATES),
+             "line 'A' has no aggregate:rasa transcription"),
+            (lambda: emit(_one(_NO_HUMAN._replace(split=Split.TEST)), Strategy.ALL_HUMAN),
+             "test line 'A' has no human transcription"),
+            (lambda: emit(_one(_NO_HUMAN._replace(split=Split.TRAIN)), Strategy.RANDOM_ONE),
+             "line 'A' has no human transcription"),
+            (lambda: agreement_split(_one(_NO_HUMAN)), "line 'A' has no human transcription"),
+            (lambda: consensus_transcription(_ONLY_AGGREGATE),
+             "line 'A' has no votable transcriptions"),
+            (lambda: selected_transcription(_ONLY_AGGREGATE),
+             "line 'A' has no votable transcriptions"),
+            (lambda: agreement_score(_ONLY_AGGREGATE), "line 'A' has no votable transcriptions"),
+            (lambda: consensus_transcription(_EMPTY_CONSENSUS, Granularity.WORD),
+             "consensus for line 'A' is empty"),
+        ],
+        ids=[
+            "filter-no-split", "filter-no-agreement", "emit-no-split", "emit-no-rover",
+            "emit-no-rasa", "emit-test-line-no-human", "emit-random-one-no-human",
+            "agreement-split-no-human", "rover-no-votable", "rasa-no-votable",
+            "agree-no-votable", "rover-empty-consensus",
+        ],
+    )
+    def test_unusable_line_is_a_manifest_error(self, step, message):
+        with pytest.raises(ManifestError) as excinfo:
+            step()
+        assert str(excinfo.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            lambda: filter_by_agreement(Corpus(()), 100.5),
+            lambda: random_split(_one(build_line("A")), (2, 0, 0), seed=0),
+            lambda: apply_split(_one(build_line("A")), {}),
+            lambda: rover_consensus([]),
+            lambda: build_line("A").with_aggregate(
+                Transcription("x", TranscriptionSource(SourceKind.HUMAN))
+            ),
+            lambda: write_ground_truth(
+                [EmissionRecord("a\tb", "x", Split.TRAIN, TranscriptionSource(SourceKind.HUMAN))],
+                "unused",
+            ),
+        ],
+        ids=["threshold", "split-sizes", "split-map", "empty-texts", "aggregate-kind",
+             "row-break"],
+    )
+    def test_bad_argument_is_a_plain_value_error(self, step, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError) as excinfo:
+            step()
+        assert not isinstance(excinfo.value, ManifestError)

@@ -272,7 +272,9 @@ class TestImports:
     @_STARTS
     def test_start_up_loads_no_heavy_module(self, tmp_path, code):
         # Each of these costs a start several milliseconds; only modules the
-        # start itself loads count, not those the interpreter's site loaded.
+        # start itself loads count. The child runs with -S: ``site`` may import
+        # some of them itself (``tempfile``, in some installations), which would
+        # hide a start that loads them.
         heavy = [
             "dataclasses", "inspect", "concurrent.futures", "multiprocessing", "pickle",
             "tempfile",
@@ -280,6 +282,7 @@ class TestImports:
         proc = subprocess.run(
             [
                 sys.executable,
+                "-S",
                 "-c",
                 f"import sys\nbefore = set(sys.modules)\n{code}\n"
                 f"print(sorted(m for m in {heavy!r} if m in set(sys.modules) - before))",
@@ -299,8 +302,8 @@ class TestFileModes:
         "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]
     )
     def test_outputs_follow_the_umask(self, tmp_path, umask, mode):
-        # The umask is read at import, so the stages run as child processes,
-        # which inherit it.
+        # The kernel applies the process umask as each output is created; the
+        # stages run as child processes, which inherit it.
         previous = os.umask(umask)
         try:
             for argv in (
@@ -420,10 +423,59 @@ class TestManifestBoundary:
         assert err == "aggrescribe: manifest error: bad.jsonl:2 (line_id 'B'): " \
             "unknown source tag ['human']\n"
 
-    def test_programming_error_is_not_a_manifest_error(self, tmp_path, monkeypatch):
-        def broken(line):
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("agreement_score", ["agree", FIXTURE, "-o", "out.jsonl"]),
+            ("filter_by_agreement",
+             ["filter", FIXTURE, "-o", "out.jsonl", "--min-agreement", "50"]),
+            ("emit", ["emit", FIXTURE, "--strategy", "all-human", "--out", "gt"]),
+        ],
+        ids=["agree", "filter", "emit"],
+    )
+    def test_programming_error_is_not_a_manifest_error(self, tmp_path, monkeypatch, name, argv):
+        def broken(*args, **kwargs):
             raise ValueError("a bug, not bad input")
 
-        monkeypatch.setattr("aggrescribe.cli.agreement_score", broken)
-        with pytest.raises(ValueError, match="a bug"):
-            run("agree", FIXTURE, "-o", tmp_path / "out.jsonl")
+        monkeypatch.setattr(cli, name, broken)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match="a bug") as excinfo:
+            run(*argv)
+        assert not isinstance(excinfo.value, ManifestError)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "order, threads",
+        [(["bad"], "1"), (["good", "bad"], "2"), (["bad", "good"], "2")],
+        ids=["alone", "second-of-two-on-2-workers", "first-of-two-on-2-workers"],
+    )
+    def test_empty_consensus_is_validation_error(
+        self, tmp_path, capsys, monkeypatch, order, threads
+    ):
+        # Two human and three automatic readings: a valid line whose
+        # word-level consensus votes every slot empty.
+        readings = [("a ab b", "human"), ("ab", "human"), ("a", "auto:pylaia"),
+                    ("bbab", "auto:dan"), ("bbb", "auto:pylaia")]
+        records = {
+            "good": manifest_line(line_id="L0"),
+            "bad": manifest_line(
+                line_id="L1",
+                transcriptions=[{"text": text, "source": source} for text, source in readings],
+            ),
+        }
+        path = tmp_path / "in.jsonl"
+        path.write_text("".join(json.dumps(records[k]) + "\n" for k in order), encoding="utf-8")
+        assert run("validate", path) == EXIT_OK
+        capsys.readouterr()
+        # CPUs patched so that two workers fork even on a one-CPU host
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("AGGRESCRIBE_THREADS", threads)
+        out = tmp_path / "out.jsonl"
+        code = run("aggregate", path, "-o", out, "--method", "rover", "--level", "word")
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "aggrescribe: manifest error: consensus for line 'L1' is empty\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+        if hasattr(os, "fork"):
+            _no_child_left()
