@@ -109,23 +109,25 @@ def emit(corpus: Corpus, strategy: Strategy, seed: int = 0) -> list[EmissionReco
             chosen: Sequence[Transcription] = (humans[0],)
         else:
             chosen = _select(line, strategy, rng)
-        records.extend(
-            EmissionRecord(
-                image_ref=line.image_ref,
-                text=t.text,
-                split=line.split,
-                source=t.source,
-            )
-            for t in chosen
-        )
+        image, split = line.image_ref, line.split
+        records.extend([EmissionRecord(image, t.text, split, t.source) for t in chosen])
     return records
+
+
+def _check_field(label: str, value: str) -> None:
+    if _breaks_row(value):
+        raise ValueError(
+            f"{label} {value!r} contains a tab or newline and cannot be written as a TSV row"
+        )
 
 
 def write_ground_truth(records: Sequence[EmissionRecord], directory: str | Path) -> None:
     """Write ``train.tsv``, ``val.tsv`` and ``test.tsv`` (one
     ``image<TAB>text`` row per record, record order preserved).
 
-    All three files are written even when empty.
+    All three files are written even when empty. A run of records that
+    share an image, as the records ``emit`` gives for one line do, has that
+    image checked once.
 
     Raises:
         ValueError: if an image reference or text contains a tab or a
@@ -135,13 +137,13 @@ def write_ground_truth(records: Sequence[EmissionRecord], directory: str | Path)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     buckets: dict[Split, list[str]] = {split: [] for split in Split}
+    checked = object()  # the previous record's image, once there is one
     for record in records:
-        for label, value in (("image_ref", record.image_ref), ("text", record.text)):
-            if _breaks_row(value):
-                raise ValueError(
-                    f"{label} {value!r} contains a tab or newline and cannot be "
-                    "written as a TSV row"
-                )
-        buckets[record.split].append(f"{record.image_ref}\t{record.text}\n")
+        image, text = record.image_ref, record.text
+        if image != checked:
+            _check_field("image_ref", image)
+            checked = image
+        _check_field("text", text)
+        buckets[record.split].append(f"{image}\t{text}\n")
     for split, filename in _FILENAMES.items():
         atomic_write_text(directory / filename, "".join(buckets[split]))

@@ -2,9 +2,11 @@
 
 Every subcommand reads a manifest, writes outputs atomically, prints a
 human-readable summary table to stdout and, with ``--json``, a
-machine-readable summary to stderr. Exit codes: 1 usage error, 2 a manifest
-that fails validation or holds a line the step cannot use, 3 I/O failure. Any
-other exception is a bug and propagates.
+machine-readable summary to stderr, whose ``timings`` give the seconds spent
+parsing, computing and writing and the input lines per second over the three.
+Exit codes: 1 usage error, 2 a manifest that fails validation or holds a line
+the step cannot use, 3 I/O failure. Any other exception is a bug and
+propagates.
 
 Set ``AGGRESCRIBE_THREADS`` to spread the per-line work of ``aggregate`` and
 ``agree`` over up to that many forked worker processes, at most one per CPU and
@@ -15,9 +17,11 @@ bytes are identical either way.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
+import time
 from collections.abc import Callable, Sequence
 from functools import partial
 from pathlib import Path
@@ -152,6 +156,25 @@ def _child(fn: Callable, chunk: Sequence, write_end: int) -> None:
         os._exit(status)
 
 
+class _Stopwatch:
+    """Splits a command's run into parse, compute and write seconds for its
+    ``--json`` summary; they never enter an output file."""
+
+    def __init__(self) -> None:
+        self.laps = {"parse_s": 0.0, "compute_s": 0.0, "write_s": 0.0}
+        self._last = time.perf_counter()
+
+    def lap(self, name: str) -> None:
+        """Record the time since the previous lap, or the start, as ``name``."""
+        now = time.perf_counter()
+        self.laps[name] = now - self._last
+        self._last = now
+
+    def timings(self, lines: int) -> dict:
+        total = sum(self.laps.values())
+        return {**self.laps, "lines_per_s": lines / total if total else 0.0}
+
+
 def _sizes(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -193,14 +216,24 @@ def _split_table(counts: dict[Split, int]) -> list[tuple[str, str]]:
 
 
 def cmd_validate(args: argparse.Namespace) -> dict:
+    clock = _Stopwatch()
     corpus = parse_manifest(args.manifest)
+    clock.lap("parse_s")
     print(f"ok: {len(corpus)} lines ({args.manifest})")
-    return {"command": "validate", "manifest": str(args.manifest), "lines": len(corpus)}
+    return {
+        "command": "validate",
+        "manifest": str(args.manifest),
+        "lines": len(corpus),
+        "timings": clock.timings(len(corpus)),
+    }
 
 
 def cmd_stats(args: argparse.Namespace) -> dict:
+    clock = _Stopwatch()
     corpus = parse_manifest(args.manifest)
+    clock.lap("parse_s")
     report = corpus_stats(corpus)
+    clock.lap("compute_s")
     rows = [
         ("Lines", f"{report.total_lines}"),
         (
@@ -221,11 +254,14 @@ def cmd_stats(args: argparse.Namespace) -> dict:
         "two_human_share": report.two_human_share,
         "per_source": report.per_source,
         "transcriptions_per_line": {str(k): v for k, v in report.transcriptions_per_line.items()},
+        "timings": clock.timings(report.total_lines),
     }
 
 
 def cmd_aggregate(args: argparse.Namespace) -> dict:
+    clock = _Stopwatch()
     corpus = parse_manifest(args.manifest)
+    clock.lap("parse_s")
     level = Granularity.CHARACTER if args.level == "char" else Granularity.WORD
     if args.method == "rover":
         per_line = partial(consensus_transcription, level=level)
@@ -236,7 +272,9 @@ def cmd_aggregate(args: argparse.Namespace) -> dict:
     updated = Corpus(
         tuple(line.with_aggregate(t) for line, t in zip(corpus.lines, aggregates))
     )
+    clock.lap("compute_s")
     write_manifest(updated, args.output)
+    clock.lap("write_s")
     print(f"aggregated {len(updated)} lines with {args.method} -> {args.output}")
     return {
         "command": "aggregate",
@@ -244,17 +282,22 @@ def cmd_aggregate(args: argparse.Namespace) -> dict:
         "level": args.level,
         "lines": len(updated),
         "output": str(args.output),
+        "timings": clock.timings(len(corpus)),
     }
 
 
 def cmd_agree(args: argparse.Namespace) -> dict:
+    clock = _Stopwatch()
     corpus = parse_manifest(args.manifest)
+    clock.lap("parse_s")
     threads = _thread_cap()
     scores = _map_lines(agreement_score, corpus.lines, threads)
     updated = Corpus(
         tuple(line.with_agreement(score) for line, score in zip(corpus.lines, scores))
     )
+    clock.lap("compute_s")
     write_manifest(updated, args.output)
+    clock.lap("write_s")
     mean = sum(scores) / len(scores) if scores else 0.0
     unanimous = sum(1 for s in scores if s == 100.0)
     _print_table(
@@ -270,11 +313,14 @@ def cmd_agree(args: argparse.Namespace) -> dict:
         "mean_agreement": mean,
         "lines_at_100": unanimous,
         "output": str(args.output),
+        "timings": clock.timings(len(corpus)),
     }
 
 
 def cmd_split(args: argparse.Namespace) -> dict:
+    clock = _Stopwatch()
     corpus = parse_manifest(args.manifest)
+    clock.lap("parse_s")
     if args.mode == "agreement":
         assignments = agreement_split(corpus)
     else:
@@ -291,7 +337,9 @@ def cmd_split(args: argparse.Namespace) -> dict:
             )
         assignments = random_split(corpus, sizes, args.seed)
     updated = apply_split(corpus, assignments)
+    clock.lap("compute_s")
     write_manifest(updated, args.output)
+    clock.lap("write_s")
     counts = split_counts(assignments.values())
     _print_table(_split_table(counts))
     return {
@@ -304,13 +352,18 @@ def cmd_split(args: argparse.Namespace) -> dict:
             "test": counts[Split.TEST],
         },
         "output": str(args.output),
+        "timings": clock.timings(len(corpus)),
     }
 
 
 def cmd_filter(args: argparse.Namespace) -> dict:
+    clock = _Stopwatch()
     corpus = parse_manifest(args.manifest)
+    clock.lap("parse_s")
     filtered = filter_by_agreement(corpus, args.min_agreement)
+    clock.lap("compute_s")
     write_manifest(filtered, args.output)
+    clock.lap("write_s")
 
     before = split_counts(line.split for line in corpus.lines)
     after = split_counts(line.split for line in filtered.lines)
@@ -332,21 +385,27 @@ def cmd_filter(args: argparse.Namespace) -> dict:
         "train_after": retained,
         "train_retained_pct": share,
         "output": str(args.output),
+        "timings": clock.timings(len(corpus)),
     }
 
 
 def cmd_emit(args: argparse.Namespace) -> dict:
+    clock = _Stopwatch()
     corpus = parse_manifest(args.manifest)
+    clock.lap("parse_s")
     strategy = Strategy(args.strategy)
     records = emit(corpus, strategy, seed=args.seed)
-    write_ground_truth(records, args.out)
+    by_split = split_counts(r.split for r in records)
     counts = {
-        "train": sum(1 for r in records if r.split is Split.TRAIN),
-        "val": sum(1 for r in records if r.split is Split.VALIDATION),
-        "test": sum(1 for r in records if r.split is Split.TEST),
+        "train": by_split[Split.TRAIN],
+        "val": by_split[Split.VALIDATION],
+        "test": by_split[Split.TEST],
     }
+    clock.lap("compute_s")
+    write_ground_truth(records, args.out)
     summary = {"strategy": strategy.value, "seed": args.seed, "counts": counts}
     atomic_write_text(Path(args.out) / "summary.json", json.dumps(summary) + "\n")
+    clock.lap("write_s")
     _print_table(
         [
             ("Strategy", strategy.value),
@@ -355,7 +414,12 @@ def cmd_emit(args: argparse.Namespace) -> dict:
             ("Test records", f"{counts['test']}"),
         ]
     )
-    return {"command": "emit", "out": str(args.out), **summary}
+    return {
+        "command": "emit",
+        "out": str(args.out),
+        **summary,
+        "timings": clock.timings(len(corpus)),
+    }
 
 
 def build_parser() -> _Parser:
@@ -423,6 +487,10 @@ def build_parser() -> _Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The records and lattices a command builds form no reference cycles, so
+    # the cyclic collector would only spend its passes finding none.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         summary = args.func(args)
     except UsageError as exc:
@@ -434,6 +502,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"{PROG}: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        if collecting:
+            gc.enable()
     if args.json:
         print(json.dumps(summary), file=sys.stderr)
     return EXIT_OK

@@ -22,6 +22,7 @@ import unicodedata
 from collections import Counter
 from collections.abc import Iterator
 from enum import Enum
+from json.encoder import encode_basestring as _quote
 from pathlib import Path
 
 
@@ -54,7 +55,9 @@ AGGREGATE_KINDS = frozenset({SourceKind.AGGREGATE_ROVER, SourceKind.AGGREGATE_RA
 def _breaks_row(value: str) -> bool:
     """Whether ``value`` holds a tab or a character ``str.splitlines`` ends a
     line at; any of them inside a field would split or shift a TSV row for
-    some reader."""
+    some reader. None of them is printable, so a printable value is fine."""
+    if value.isprintable():
+        return False
     return "\t" in value or "".join(value.splitlines()) != value
 
 
@@ -65,7 +68,13 @@ _CANONICAL_ORDER = (SourceKind.HUMAN, SourceKind.AUTO_PYLAIA, SourceKind.AUTO_DA
 
 def normalize_text(text: str) -> str:
     """NFC-normalize, trim, and collapse internal whitespace runs."""
-    return " ".join(unicodedata.normalize("NFC", text).split())
+    text = unicodedata.normalize("NFC", text)
+    # Space is the only printable character ``str.split`` splits at, so a
+    # printable text without a doubled, leading or trailing space is already
+    # what splitting and joining it would give.
+    if text.isprintable() and "  " not in text and text.strip(" ") == text:
+        return text
+    return " ".join(text.split())
 
 
 #: How a record's ``__init__`` sets its fields past ``Record.__setattr__``.
@@ -224,83 +233,108 @@ def canonical_transcriptions(line: TranscribedLine) -> tuple[Transcription, ...]
     return tuple(out)
 
 
-def _parse_transcription(entry: object, context: str, sources: dict) -> Transcription:
-    if not isinstance(entry, dict):
-        raise ManifestError(f"{context}: transcription entry must be an object")
-    text = entry.get("text")
-    if not isinstance(text, str):
-        raise ManifestError(f"{context}: transcription is missing a string 'text'")
-    tag = entry.get("source")
-    try:
-        kind = _KIND_BY_TAG[tag]
-    except (KeyError, TypeError):  # TypeError: a list or object as the tag
-        raise ManifestError(f"{context}: unknown source tag {tag!r}") from None
-    annotator = entry.get("annotator")
-    if annotator is not None and not isinstance(annotator, str):
-        raise ManifestError(f"{context}: 'annotator' must be a string")
-    uncertain = entry.get("uncertain", False)
-    if not isinstance(uncertain, bool):
-        raise ManifestError(f"{context}: 'uncertain' must be a boolean")
-    try:
-        source = sources.get((tag, annotator))
-        if source is None:
-            source = sources[tag, annotator] = TranscriptionSource(kind, annotator)
-        return Transcription(text, source, uncertain)
-    except ValueError as exc:
-        raise ManifestError(f"{context}: {exc}") from exc
+#: The characters JSON counts as whitespace. A manifest line made of these
+#: alone is blank and skipped; other Unicode whitespace makes it malformed.
+_JSON_WHITESPACE = " \t\r\n"
+
+_HUMAN = SourceKind.HUMAN
+_new = object.__new__
 
 
-def _parse_line(record: object, context: str, sources: dict) -> TranscribedLine:
+def _parse_line(record: object, sources: dict) -> TranscribedLine:
+    """Check one decoded manifest record and build its line.
+
+    Raises ``ManifestError`` with the bare reason; ``parse_manifest`` adds
+    the ``file:line (line_id ...)`` context. The records are built past
+    their constructors, from fields already checked here against every
+    condition those constructors check, so each text is normalized once.
+    ``sources`` holds one shared, checked ``TranscriptionSource`` per
+    ``(tag, annotator)`` pair met so far in the file.
+    """
     if not isinstance(record, dict):
-        raise ManifestError(f"{context}: record must be a JSON object")
-    line_id = record.get("line_id")
+        raise ManifestError("record must be a JSON object")
+    get = record.get
+    line_id = get("line_id")
     if not isinstance(line_id, str) or not line_id:
-        raise ManifestError(f"{context}: missing or empty 'line_id'")
-    context = f"{context} (line_id {line_id!r})"
-    image = record.get("image")
+        raise ManifestError("missing or empty 'line_id'")
+    image = get("image")
     if not isinstance(image, str) or not image:
-        raise ManifestError(f"{context}: missing or empty 'image'")
+        raise ManifestError("missing or empty 'image'")
     if _breaks_row(image):
         raise ManifestError(
-            f"{context}: 'image' {image!r} contains a tab or newline and cannot be "
-            "written as a TSV row"
+            f"'image' {image!r} contains a tab or newline and cannot be written as a TSV row"
         )
-    page_id = record.get("page_id")
+    page_id = get("page_id")
     if page_id is not None and not isinstance(page_id, str):
-        raise ManifestError(f"{context}: 'page_id' must be a string")
-
+        raise ManifestError("'page_id' must be a string")
     split = None
     if "split" in record:
         try:
             split = _SPLIT_BY_NAME[record["split"]]
-        except (KeyError, TypeError):
-            raise ManifestError(f"{context}: unknown split {record['split']!r}") from None
-    agreement = record.get("agreement")
+        except (KeyError, TypeError):  # TypeError: a list or object as the split
+            raise ManifestError(f"unknown split {record['split']!r}") from None
+    agreement = get("agreement")
     if agreement is not None:
         if isinstance(agreement, bool) or not isinstance(agreement, (int, float)):
-            raise ManifestError(f"{context}: 'agreement' must be a number")
+            raise ManifestError("'agreement' must be a number")
         try:
             agreement = float(agreement)
         except OverflowError:
-            raise ManifestError(f"{context}: 'agreement' is too large for a float") from None
+            raise ManifestError("'agreement' is too large for a float") from None
         # Also rejects NaN, which compares false with everything.
         if not 0.0 <= agreement <= 100.0:
-            raise ManifestError(f"{context}: 'agreement' must be in [0, 100], got {agreement}")
+            raise ManifestError(f"'agreement' must be in [0, 100], got {agreement}")
 
-    entries = record.get("transcriptions")
+    entries = get("transcriptions")
     if not isinstance(entries, list) or not entries:
-        raise ManifestError(f"{context}: 'transcriptions' must be a non-empty list")
+        raise ManifestError("'transcriptions' must be a non-empty list")
     transcriptions = []
-    human_count = 0
+    humans = 0
     for entry in entries:
-        t = _parse_transcription(entry, context, sources)
-        human_count += t.source.kind is SourceKind.HUMAN
+        if not isinstance(entry, dict):
+            raise ManifestError("transcription entry must be an object")
+        text = entry.get("text")
+        if not isinstance(text, str):
+            raise ManifestError("transcription is missing a string 'text'")
+        tag = entry.get("source")
+        annotator = entry.get("annotator")
+        try:
+            source = sources[tag, annotator]
+        except (KeyError, TypeError):  # a new pair, or an unhashable value in it
+            source = None
+            try:
+                kind = _KIND_BY_TAG[tag]
+            except (KeyError, TypeError):
+                raise ManifestError(f"unknown source tag {tag!r}") from None
+            if annotator is not None and not isinstance(annotator, str):
+                raise ManifestError("'annotator' must be a string")
+        uncertain = entry.get("uncertain", False)
+        if not isinstance(uncertain, bool):
+            raise ManifestError("'uncertain' must be a boolean")
+        if source is None:
+            try:
+                source = sources[tag, annotator] = TranscriptionSource(kind, annotator)
+            except ValueError as exc:
+                raise ManifestError(str(exc)) from None
+        cleaned = normalize_text(text)
+        if not cleaned:
+            raise ManifestError("transcription text is empty after normalization")
+        t = _new(Transcription)
+        _set(t, "text", cleaned)
+        _set(t, "source", source)
+        _set(t, "uncertain", uncertain)
         transcriptions.append(t)
-    if human_count not in (1, 2):
-        raise ManifestError(
-            f"{context}: expected 1 or 2 human transcriptions, found {human_count}"
-        )
-    return TranscribedLine(line_id, image, tuple(transcriptions), page_id, split, agreement)
+        humans += source.kind is _HUMAN
+    if humans != 1 and humans != 2:
+        raise ManifestError(f"expected 1 or 2 human transcriptions, found {humans}")
+    line = _new(TranscribedLine)
+    _set(line, "line_id", line_id)
+    _set(line, "image_ref", image)
+    _set(line, "transcriptions", tuple(transcriptions))
+    _set(line, "page_id", page_id)
+    _set(line, "split", split)
+    _set(line, "agreement", agreement)
+    return line
 
 
 def _require_utf8(line: TranscribedLine, context: str) -> None:
@@ -321,68 +355,59 @@ def _require_utf8(line: TranscribedLine, context: str) -> None:
 def parse_manifest(path: str | Path) -> Corpus:
     """Read a newline-delimited JSON manifest, preserving record order.
 
+    Each line is checked once, in one loop: it must be UTF-8 and hold one
+    JSON object (a line of JSON whitespace alone is skipped) whose fields
+    follow the schema in this module's docstring, with a ``line_id`` no
+    earlier line used, one or two human transcriptions, an ``agreement``
+    that is a finite number in [0, 100], an ``image`` that fits a TSV field
+    and no unpaired surrogate in any string the corpus keeps. Texts are
+    normalized as ``Transcription`` normalizes them, and one
+    ``TranscriptionSource`` is shared per ``(source, annotator)`` pair.
+
     Raises:
-        ManifestError: on invalid UTF-8 or malformed JSON (with the offending
-            line number), duplicate line_ids, empty transcription lists,
-            unknown source tags, or any other schema violation.
+        ManifestError: naming ``file:line`` (and the ``line_id``, once the
+            line has a valid one) for the first line that breaks a rule.
     """
     path = Path(path)
-    name = path.name
     lines: list[TranscribedLine] = []
     seen: set[str] = set()
-    # One shared, immutable source per (tag, annotator) pair in this file.
     sources: dict = {}
     # Binary mode, so that a decoding error names its line.
     with path.open("rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            context = f"{name}:{lineno}"
             try:
                 text = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise ManifestError(
-                    f"{context}: invalid UTF-8 at byte {exc.start} ({exc.reason})"
+                    f"{path.name}:{lineno}: invalid UTF-8 at byte {exc.start} ({exc.reason})"
                 ) from exc
-            if not text.strip():
+            if not text.strip(_JSON_WHITESPACE):
                 continue
             try:
                 record = json.loads(text)
             except json.JSONDecodeError as exc:
-                raise ManifestError(f"{context}: malformed JSON ({exc.msg})") from exc
+                raise ManifestError(f"{path.name}:{lineno}: malformed JSON ({exc.msg})") from exc
             except (ValueError, RecursionError) as exc:
                 # An integer past the interpreter's digit limit, or nesting
                 # deeper than the decoder's recursion limit.
-                raise ManifestError(f"{context}: unreadable JSON ({exc})") from exc
-            line = _parse_line(record, context, sources)
+                raise ManifestError(f"{path.name}:{lineno}: unreadable JSON ({exc})") from exc
+            try:
+                line = _parse_line(record, sources)
+            except ManifestError as exc:
+                line_id = record.get("line_id") if isinstance(record, dict) else None
+                named = f" (line_id {line_id!r})" if isinstance(line_id, str) and line_id else ""
+                raise ManifestError(f"{path.name}:{lineno}{named}: {exc}") from None
             # Only a \u escape can yield a lone surrogate, so lines without
             # one skip the check.
             if "\\u" in text:
-                _require_utf8(line, context)
+                _require_utf8(line, f"{path.name}:{lineno}")
             if line.line_id in seen:
-                raise ManifestError(f"{context}: duplicate line_id {line.line_id!r}")
+                raise ManifestError(f"{path.name}:{lineno}: duplicate line_id {line.line_id!r}")
             seen.add(line.line_id)
             lines.append(line)
-    return Corpus(tuple(lines))
-
-
-def _transcription_record(t: Transcription) -> dict:
-    entry: dict = {"text": t.text, "source": t.source.kind.value}
-    if t.source.annotator_id is not None:
-        entry["annotator"] = t.source.annotator_id
-    if t.uncertain:
-        entry["uncertain"] = True
-    return entry
-
-
-def _line_record(line: TranscribedLine) -> dict:
-    record: dict = {"line_id": line.line_id, "image": line.image_ref}
-    if line.page_id is not None:
-        record["page_id"] = line.page_id
-    if line.split is not None:
-        record["split"] = line.split.value
-    if line.agreement is not None:
-        record["agreement"] = line.agreement
-    record["transcriptions"] = [_transcription_record(t) for t in line.transcriptions]
-    return record
+    corpus = _new(Corpus)
+    _set(corpus, "lines", tuple(lines))  # line_ids already checked distinct
+    return corpus
 
 
 #: Numbers this process's temp files, so that a name is unique per process.
@@ -418,19 +443,70 @@ def atomic_write_text(path: str | Path, content: str) -> None:
         raise
 
 
-#: What ``json.dumps(record, ensure_ascii=False, allow_nan=False)`` builds
-#: for every call, built once.
+#: The encoder ``write_manifest`` leaves a number to unless it is a finite
+#: float: ``json.dumps(value, ensure_ascii=False, allow_nan=False)``, built once.
 _ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
+
+_SPLIT_FIELD = {split: f', "split": "{split.value}"' for split in Split}
+_SOURCE_FIELD = {kind: f', "source": "{kind.value}"' for kind in SourceKind}
+
+
+def _json_number(value: object) -> str:
+    # A finite float as the encoder writes it; anything else (an int, a bool,
+    # NaN or an infinity, on which it raises) through the encoder itself.
+    if value.__class__ is float and value - value == 0.0:
+        return float.__repr__(value)
+    return _ENCODER.encode(value)
 
 
 def write_manifest(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus as newline-delimited JSON, preserving line order.
 
+    Each line is the text ``json.dumps(record, ensure_ascii=False,
+    allow_nan=False)`` gives for the record dict, in the key order
+    ``line_id``, ``image``, ``page_id``, ``split``, ``agreement``,
+    ``transcriptions`` and, per transcription, ``text``, ``source``,
+    ``annotator``, ``uncertain``. ``page_id``, ``split``, ``agreement``
+    and ``annotator`` are left out when ``None``, ``uncertain`` when false.
+    Items are separated by ``", "`` and keys from values by ``": "``;
+    strings are quoted by ``json.encoder.encode_basestring``, which keeps
+    non-ASCII text as is. The text is built here directly rather than
+    through a dict and the encoder. A NaN or infinite agreement raises
+    ``ValueError`` before anything is written.
+
     ``parse_manifest(write_manifest(c))`` reproduces ``c`` line for line, and
     rewriting an unchanged corpus is byte-identical.
     """
-    body = "".join(_ENCODER.encode(_line_record(line)) + "\n" for line in corpus.lines)
-    atomic_write_text(path, body)
+    quote = _quote
+    out: list[str] = []
+    add = out.append
+    for line in corpus.lines:
+        add('{"line_id": ')
+        add(quote(line.line_id))
+        add(', "image": ')
+        add(quote(line.image_ref))
+        if line.page_id is not None:
+            add(', "page_id": ')
+            add(quote(line.page_id))
+        if line.split is not None:
+            add(_SPLIT_FIELD[line.split])
+        if line.agreement is not None:
+            add(', "agreement": ')
+            add(_json_number(line.agreement))
+        opening = ', "transcriptions": [{"text": '
+        for t in line.transcriptions:
+            source = t.source
+            add(opening)
+            add(quote(t.text))
+            add(_SOURCE_FIELD[source.kind])
+            if source.annotator_id is not None:
+                add(', "annotator": ')
+                add(quote(source.annotator_id))
+            if t.uncertain:
+                add(', "uncertain": true')
+            opening = '}, {"text": '
+        add("}]}\n")
+    atomic_write_text(path, "".join(out))
 
 
 class StatsReport(Record):

@@ -4,21 +4,38 @@ These deliberately avoid the library's fast code paths: the edit distance
 is a memoized top-down recursion, and the consensus oracle is a direct
 per-position count. Expected values frozen in the test modules were computed
 with these. The other references are the code the library ran before its
-faster replacements: the numpy RASA iteration, the two-row edit-distance DP
-and the full-table lattice merge.
+faster replacements: the numpy RASA iteration, the two-row edit-distance DP,
+the full-table lattice merge, and the manifest parser, manifest writer and
+emission code that ran before the one-pass parser and the direct JSON writer.
 """
 
 from __future__ import annotations
 
+import json
+import unicodedata
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from aggrescribe.assemble import EmissionRecord, Strategy
+from aggrescribe.corpus import (
+    Corpus,
+    ManifestError,
+    SourceKind,
+    Split,
+    TranscribedLine,
+    Transcription,
+    TranscriptionSource,
+    atomic_write_text,
+    canonical_transcriptions,
+)
 from aggrescribe.metrics import sym_char_distance
 from aggrescribe.rasa import EPSILON, MAX_ITERATIONS, TOLERANCE, RasaSelection
 from aggrescribe.rover import NULL
+from aggrescribe.splits import SeededRng
 
 
 def brute_edit_distance(a, b) -> int:
@@ -193,3 +210,260 @@ def full_table_lattice(sequences) -> list[Counter]:
     for merged, seq in enumerate(sequences[1:], start=1):
         slots = full_table_merge(slots, merged, seq)
     return slots
+
+
+_KIND_BY_TAG = {kind.value: kind for kind in SourceKind}
+_SPLIT_BY_NAME = {split.value: split for split in Split}
+
+
+def reference_normalize_text(text: str) -> str:
+    """``corpus.normalize_text`` before its fast path for texts that are
+    already trimmed and collapsed."""
+    return " ".join(unicodedata.normalize("NFC", text).split())
+
+
+def reference_breaks_row(value: str) -> bool:
+    """``corpus._breaks_row`` before its fast path for printable values."""
+    return "\t" in value or "".join(value.splitlines()) != value
+
+
+def _parse_transcription(entry: object, context: str, sources: dict) -> Transcription:
+    if not isinstance(entry, dict):
+        raise ManifestError(f"{context}: transcription entry must be an object")
+    text = entry.get("text")
+    if not isinstance(text, str):
+        raise ManifestError(f"{context}: transcription is missing a string 'text'")
+    tag = entry.get("source")
+    try:
+        kind = _KIND_BY_TAG[tag]
+    except (KeyError, TypeError):  # TypeError: a list or object as the tag
+        raise ManifestError(f"{context}: unknown source tag {tag!r}") from None
+    annotator = entry.get("annotator")
+    if annotator is not None and not isinstance(annotator, str):
+        raise ManifestError(f"{context}: 'annotator' must be a string")
+    uncertain = entry.get("uncertain", False)
+    if not isinstance(uncertain, bool):
+        raise ManifestError(f"{context}: 'uncertain' must be a boolean")
+    try:
+        source = sources.get((tag, annotator))
+        if source is None:
+            source = sources[tag, annotator] = TranscriptionSource(kind, annotator)
+        return Transcription(text, source, uncertain)
+    except ValueError as exc:
+        raise ManifestError(f"{context}: {exc}") from exc
+
+
+def _parse_line(record: object, context: str, sources: dict) -> TranscribedLine:
+    if not isinstance(record, dict):
+        raise ManifestError(f"{context}: record must be a JSON object")
+    line_id = record.get("line_id")
+    if not isinstance(line_id, str) or not line_id:
+        raise ManifestError(f"{context}: missing or empty 'line_id'")
+    context = f"{context} (line_id {line_id!r})"
+    image = record.get("image")
+    if not isinstance(image, str) or not image:
+        raise ManifestError(f"{context}: missing or empty 'image'")
+    if reference_breaks_row(image):
+        raise ManifestError(
+            f"{context}: 'image' {image!r} contains a tab or newline and cannot be "
+            "written as a TSV row"
+        )
+    page_id = record.get("page_id")
+    if page_id is not None and not isinstance(page_id, str):
+        raise ManifestError(f"{context}: 'page_id' must be a string")
+
+    split = None
+    if "split" in record:
+        try:
+            split = _SPLIT_BY_NAME[record["split"]]
+        except (KeyError, TypeError):
+            raise ManifestError(f"{context}: unknown split {record['split']!r}") from None
+    agreement = record.get("agreement")
+    if agreement is not None:
+        if isinstance(agreement, bool) or not isinstance(agreement, (int, float)):
+            raise ManifestError(f"{context}: 'agreement' must be a number")
+        try:
+            agreement = float(agreement)
+        except OverflowError:
+            raise ManifestError(f"{context}: 'agreement' is too large for a float") from None
+        # Also rejects NaN, which compares false with everything.
+        if not 0.0 <= agreement <= 100.0:
+            raise ManifestError(f"{context}: 'agreement' must be in [0, 100], got {agreement}")
+
+    entries = record.get("transcriptions")
+    if not isinstance(entries, list) or not entries:
+        raise ManifestError(f"{context}: 'transcriptions' must be a non-empty list")
+    transcriptions = []
+    human_count = 0
+    for entry in entries:
+        t = _parse_transcription(entry, context, sources)
+        human_count += t.source.kind is SourceKind.HUMAN
+        transcriptions.append(t)
+    if human_count not in (1, 2):
+        raise ManifestError(
+            f"{context}: expected 1 or 2 human transcriptions, found {human_count}"
+        )
+    return TranscribedLine(line_id, image, tuple(transcriptions), page_id, split, agreement)
+
+
+def _require_utf8(line: TranscribedLine, context: str) -> None:
+    # A \ud800-style JSON escape parses to a lone surrogate, which can never
+    # be written back as UTF-8.
+    fields = [("line_id", line.line_id), ("image", line.image_ref), ("page_id", line.page_id)]
+    for t in line.transcriptions:
+        fields += [("text", t.text), ("annotator", t.source.annotator_id)]
+    for name, value in fields:
+        if value is None:
+            continue
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ManifestError(f"{context}: '{name}' contains an unpaired surrogate") from None
+
+
+def reference_parse_manifest(path) -> Corpus:
+    """``corpus.parse_manifest`` before the one-pass parser: each line goes
+    through ``_parse_line`` and ``_parse_transcription`` with an eagerly
+    built ``file:line (line_id ...)`` context, and every record through its
+    public constructor. Blank lines were those ``str.strip`` empties."""
+    path = Path(path)
+    name = path.name
+    lines: list[TranscribedLine] = []
+    seen: set[str] = set()
+    sources: dict = {}
+    with path.open("rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            context = f"{name}:{lineno}"
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ManifestError(
+                    f"{context}: invalid UTF-8 at byte {exc.start} ({exc.reason})"
+                ) from exc
+            if not text.strip():
+                continue
+            try:
+                record = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise ManifestError(f"{context}: malformed JSON ({exc.msg})") from exc
+            except (ValueError, RecursionError) as exc:
+                raise ManifestError(f"{context}: unreadable JSON ({exc})") from exc
+            line = _parse_line(record, context, sources)
+            if "\\u" in text:
+                _require_utf8(line, context)
+            if line.line_id in seen:
+                raise ManifestError(f"{context}: duplicate line_id {line.line_id!r}")
+            seen.add(line.line_id)
+            lines.append(line)
+    return Corpus(tuple(lines))
+
+
+def _transcription_record(t: Transcription) -> dict:
+    entry: dict = {"text": t.text, "source": t.source.kind.value}
+    if t.source.annotator_id is not None:
+        entry["annotator"] = t.source.annotator_id
+    if t.uncertain:
+        entry["uncertain"] = True
+    return entry
+
+
+def _line_record(line: TranscribedLine) -> dict:
+    record: dict = {"line_id": line.line_id, "image": line.image_ref}
+    if line.page_id is not None:
+        record["page_id"] = line.page_id
+    if line.split is not None:
+        record["split"] = line.split.value
+    if line.agreement is not None:
+        record["agreement"] = line.agreement
+    record["transcriptions"] = [_transcription_record(t) for t in line.transcriptions]
+    return record
+
+
+_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
+
+
+def reference_write_manifest(corpus: Corpus, path) -> None:
+    """``corpus.write_manifest`` before it built JSON text itself: one dict
+    per line, encoded by a ``JSONEncoder(ensure_ascii=False,
+    allow_nan=False)``."""
+    body = "".join(_ENCODER.encode(_line_record(line)) + "\n" for line in corpus.lines)
+    atomic_write_text(path, body)
+
+
+def _aggregate(line: TranscribedLine, kind: SourceKind) -> Transcription:
+    for t in line.transcriptions:
+        if t.source.kind is kind:
+            return t
+    raise ManifestError(
+        f"line {line.line_id!r} has no {kind.value} transcription; run the "
+        "matching aggregation step first"
+    )
+
+
+def _select(line: TranscribedLine, strategy: Strategy, rng: SeededRng) -> list[Transcription]:
+    humans = list(line.human_transcriptions)
+    if strategy is Strategy.RANDOM_ONE:
+        if not humans:
+            raise ManifestError(f"line {line.line_id!r} has no human transcription")
+        return [humans[rng.randbelow(len(humans))]]
+    if strategy is Strategy.RASA_ONE:
+        return [_aggregate(line, SourceKind.AGGREGATE_RASA)]
+    if strategy is Strategy.ROVER_ONE:
+        return [_aggregate(line, SourceKind.AGGREGATE_ROVER)]
+    if strategy is Strategy.ALL_HUMAN:
+        return humans
+    if strategy is Strategy.ALL_HUMAN_AUTO:
+        return list(canonical_transcriptions(line))
+    return list(canonical_transcriptions(line)) + [
+        _aggregate(line, SourceKind.AGGREGATE_RASA),
+        _aggregate(line, SourceKind.AGGREGATE_ROVER),
+    ]
+
+
+def reference_emit(corpus: Corpus, strategy: Strategy, seed: int = 0) -> list[EmissionRecord]:
+    """``assemble.emit`` before positional records: each ``EmissionRecord``
+    built by keyword."""
+    rng = SeededRng(seed)
+    records: list[EmissionRecord] = []
+    for line in corpus.lines:
+        if line.split is None:
+            raise ManifestError(f"line {line.line_id!r} has no split annotation")
+        if line.split is Split.TEST:
+            humans = line.human_transcriptions
+            if not humans:
+                raise ManifestError(f"test line {line.line_id!r} has no human transcription")
+            chosen: Sequence[Transcription] = (humans[0],)
+        else:
+            chosen = _select(line, strategy, rng)
+        records.extend(
+            EmissionRecord(
+                image_ref=line.image_ref,
+                text=t.text,
+                split=line.split,
+                source=t.source,
+            )
+            for t in chosen
+        )
+    return records
+
+
+_FILENAMES = {Split.TRAIN: "train.tsv", Split.VALIDATION: "val.tsv", Split.TEST: "test.tsv"}
+
+
+def reference_write_ground_truth(records: Sequence[EmissionRecord], directory) -> None:
+    """``assemble.write_ground_truth`` before it checked each image once per
+    run of records sharing it: both fields of every record are checked for a
+    row break, in record order."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    buckets: dict[Split, list[str]] = {split: [] for split in Split}
+    for record in records:
+        for label, value in (("image_ref", record.image_ref), ("text", record.text)):
+            if reference_breaks_row(value):
+                raise ValueError(
+                    f"{label} {value!r} contains a tab or newline and cannot be "
+                    "written as a TSV row"
+                )
+        buckets[record.split].append(f"{record.image_ref}\t{record.text}\n")
+    for split, filename in _FILENAMES.items():
+        atomic_write_text(directory / filename, "".join(buckets[split]))

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from aggrescribe import (
@@ -27,6 +27,7 @@ from aggrescribe import (
     write_ground_truth,
 )
 from conftest import build_line
+from oracles import reference_emit, reference_write_ground_truth
 
 
 def full_line(
@@ -197,6 +198,80 @@ class TestWriteGroundTruth:
         target = tmp_path / "nested" / "gt"
         write_ground_truth([], target)
         assert (target / "train.tsv").exists()
+
+
+_field_text = st.text(
+    alphabet=st.sampled_from(["a", "b", " ", "é", "\t", "\n", "\r", "\x85", "\u2028", "\x0b"]),
+    max_size=5,
+)
+_images = st.sampled_from(["img/a.png", "img/b.png"]) | _field_text
+
+
+@st.composite
+def _emittable_corpora(draw):
+    """Lines of every shape ``emit`` meets: 0-2 human readings, 0-2
+    automatic ones, either aggregate or none, any split or none, and
+    images that may share a name or break a row."""
+    words = st.sampled_from(["un", "deux", "trois", "é è"])
+    lines = []
+    for i in range(draw(st.integers(min_value=0, max_value=5))):
+        humans = draw(st.lists(words, max_size=2))
+        autos = draw(st.lists(words, max_size=2))
+        rover, rasa = draw(st.none() | words), draw(st.none() | words)
+        if not humans and not autos and rover is None and rasa is None:
+            continue  # a line needs a transcription
+        lines.append(
+            build_line(
+                f"L{i}",
+                humans=tuple(humans),
+                autos=tuple(autos),
+                rover=rover,
+                rasa=rasa,
+                image=draw(_images),
+                split=draw(st.sampled_from([*Split, *Split, None])),
+            )
+        )
+    return Corpus(tuple(lines))
+
+
+def _outcome(step):
+    try:
+        return step()
+    except ValueError as exc:  # ManifestError, or a row break
+        return type(exc), str(exc)
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+class TestEmissionMatchesReference:
+    @settings(suppress_health_check=[HealthCheck.too_slow])
+    @given(corpus=_emittable_corpora(), seed=st.integers(min_value=0, max_value=2**64 - 1))
+    def test_records_and_files_under_every_strategy(self, corpus, seed, tmp_path_factory):
+        base = tmp_path_factory.mktemp("emit")
+        for strategy in Strategy:
+            expected = _outcome(lambda: reference_emit(corpus, strategy, seed))
+            assert _outcome(lambda: emit(corpus, strategy, seed)) == expected
+            if not isinstance(expected, list):
+                continue
+            ref, new = base / f"{strategy.value}-ref", base / f"{strategy.value}-new"
+            written = _outcome(lambda: reference_write_ground_truth(expected, ref))
+            assert _outcome(lambda: write_ground_truth(expected, new)) == written
+            assert _files(new) == _files(ref)
+
+    @given(
+        rows=st.lists(
+            st.tuples(_images, _field_text, st.sampled_from(list(Split))), max_size=6
+        )
+    )
+    def test_written_records_built_in_code(self, rows, tmp_path_factory):
+        base = tmp_path_factory.mktemp("gt")
+        human = TranscriptionSource(SourceKind.HUMAN)
+        records = [EmissionRecord(image, text, split, human) for image, text, split in rows]
+        written = _outcome(lambda: reference_write_ground_truth(records, base / "ref"))
+        assert _outcome(lambda: write_ground_truth(records, base / "new")) == written
+        assert _files(base / "new") == _files(base / "ref")
 
 
 def _one(line):

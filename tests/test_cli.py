@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -71,6 +73,97 @@ class TestValidateAndStats:
         summary = json.loads(captured.err)
         assert summary["lines"] == 50
         assert summary["two_human_share"] == 60.0
+
+
+# Every command, each on an output of the ones before it, in a directory of
+# its own so that paths printed to stdout are the same in every run.
+_CHAIN = [
+    ["aggregate", "in.jsonl", "-o", "rover.jsonl", "--method", "rover"],
+    ["aggregate", "rover.jsonl", "-o", "both.jsonl", "--method", "rasa"],
+    ["agree", "both.jsonl", "-o", "agreed.jsonl"],
+    ["split", "agreed.jsonl", "-o", "split.jsonl", "--mode", "agreement"],
+    ["split", "agreed.jsonl", "-o", "random.jsonl", "--mode", "random", "--seed", "4"],
+    ["filter", "split.jsonl", "-o", "kept.jsonl", "--min-agreement", "90"],
+    ["emit", "split.jsonl", "--strategy", "all", "--seed", "7", "--out", "gt"],
+    ["validate", "kept.jsonl"],
+    ["stats", "kept.jsonl"],
+]
+
+
+def _run_chain(directory, capsys, monkeypatch, *flags):
+    """stdout and stderr of each ``_CHAIN`` command, and every file the chain
+    leaves in ``directory``."""
+    directory.mkdir()
+    shutil.copy(FIXTURE, directory / "in.jsonl")
+    monkeypatch.chdir(directory)
+    outs, errs = [], []
+    for argv in _CHAIN:
+        assert run(*flags, *argv) == EXIT_OK
+        captured = capsys.readouterr()
+        outs.append(captured.out)
+        errs.append(captured.err)
+    files = {
+        str(path.relative_to(directory)): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+    return outs, errs, files
+
+
+class TestJsonSummary:
+    def test_outputs_identical_with_and_without_json(self, tmp_path, capsys, monkeypatch):
+        plain_out, plain_err, plain_files = _run_chain(tmp_path / "plain", capsys, monkeypatch)
+        json_out, json_err, json_files = _run_chain(
+            tmp_path / "json", capsys, monkeypatch, "--json"
+        )
+        assert json_out == plain_out
+        assert json_files == plain_files
+        assert len(plain_files) == 11
+        assert plain_err == [""] * len(_CHAIN)
+        assert "timings" not in json.loads(plain_files["gt/summary.json"])
+        for argv, err in zip(_CHAIN, json_err):
+            summary = json.loads(err)
+            assert summary["command"] == argv[0]
+            timings = summary["timings"]
+            assert sorted(timings) == ["compute_s", "lines_per_s", "parse_s", "write_s"]
+            assert min(timings.values()) >= 0
+            assert timings["parse_s"] > 0 and timings["lines_per_s"] > 0
+            if argv[0] not in ("validate", "stats"):
+                assert timings["write_s"] > 0
+
+
+class TestCollector:
+    def test_paused_while_a_command_runs(self, monkeypatch, capsys):
+        seen = []
+
+        def spy(path):
+            seen.append(gc.isenabled())
+            return parse_manifest(path)
+
+        monkeypatch.setattr(cli, "parse_manifest", spy)
+        assert gc.isenabled()
+        assert run("validate", FIXTURE) == EXIT_OK
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_earlier_state_restored_on_every_exit(self, tmp_path, monkeypatch, capsys):
+        assert run("stats", tmp_path / "missing.jsonl") == EXIT_IO
+        assert gc.isenabled()
+
+        def broken(path):
+            raise RuntimeError("a bug")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "parse_manifest", broken)
+            with pytest.raises(RuntimeError):
+                run("validate", FIXTURE)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            assert run("validate", FIXTURE) == EXIT_OK
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestPipeline:
@@ -410,6 +503,19 @@ class TestManifestBoundary:
         assert run("validate", bad) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "bad.jsonl:2 (line_id 'B')" in err and repr(image) in err
+
+    @pytest.mark.parametrize("space", ["\x0c", "\u3000", "\x85"], ids=repr)
+    def test_line_of_non_json_whitespace_fails_validate(self, tmp_path, capsys, space):
+        bad = tmp_path / "bad.jsonl"
+        good = json.dumps(manifest_line())
+        bad.write_text(good + "\n" + space + "\n" + good.replace('"A"', '"B"') + "\n",
+                       encoding="utf-8")
+        assert run("validate", bad) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "aggrescribe: manifest error: bad.jsonl:2: malformed JSON (Expecting value)\n"
+        )
 
     def test_list_as_source_tag_is_validation_error(self, tmp_path, capsys):
         rec = manifest_line(line_id="B")

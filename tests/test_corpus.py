@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import copy
+import itertools
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from aggrescribe import (
@@ -20,6 +22,13 @@ from aggrescribe import (
     parse_manifest,
     write_manifest,
 )
+from aggrescribe.corpus import _breaks_row
+from oracles import (
+    reference_breaks_row,
+    reference_normalize_text,
+    reference_parse_manifest,
+    reference_write_manifest,
+)
 
 
 def write_records(path, records):
@@ -33,6 +42,14 @@ def record(line_id="L1", n_human=1, autos=("abc def",), text="bonjour", **extra)
     kinds = ["auto:pylaia", "auto:dan"]
     transcriptions += [{"text": t, "source": kinds[i]} for i, t in enumerate(autos)]
     return {"line_id": line_id, "image": f"img/{line_id}.png", "transcriptions": transcriptions, **extra}
+
+
+#: Every character ``str.split`` splits at or ``str.splitlines`` ends a line
+#: at, with printable, combining and invisible ones to mix them with.
+_SPACES_AND_MORE = st.sampled_from(
+    sorted({c for c in map(chr, range(0x3001)) if c.isspace() or len(("a" + c).splitlines()) > 1})
+    + ["a", "é", "\u0301", "\u200b", "\U0001d11e", "\ud800"]
+)
 
 
 class TestNormalization:
@@ -50,6 +67,19 @@ class TestNormalization:
     def test_blank_text_rejected(self):
         with pytest.raises(ValueError):
             Transcription("   \t ", TranscriptionSource(SourceKind.HUMAN))
+
+    @given(text=st.text(alphabet=_SPACES_AND_MORE, max_size=12) | st.text(max_size=12))
+    @example("a  b")
+    @example(" a")
+    @example("a ")
+    @example("a\u3000b")
+    @example("e\u0301 ")
+    def test_matches_reference(self, text):
+        assert normalize_text(text) == reference_normalize_text(text)
+
+    @given(value=st.text(alphabet=_SPACES_AND_MORE, max_size=12) | st.text(max_size=12))
+    def test_row_break_check_matches_reference(self, value):
+        assert _breaks_row(value) == reference_breaks_row(value)
 
 
 class TestDomainTypes:
@@ -238,6 +268,27 @@ class TestParse:
         with pytest.raises(ManifestError, match="bad.jsonl:2: unreadable JSON"):
             parse_manifest(path)
 
+    @pytest.mark.parametrize("blank", [" ", "\t", "\r", " \t \r", ""], ids=repr)
+    def test_lines_of_json_whitespace_skipped(self, tmp_path, blank):
+        path = tmp_path / "blank.jsonl"
+        path.write_text(
+            json.dumps(record("L1")) + "\n" + blank + "\n" + json.dumps(record("L2")) + "\n",
+            encoding="utf-8",
+        )
+        assert [line.line_id for line in parse_manifest(path)] == ["L1", "L2"]
+
+    @pytest.mark.parametrize("space", ["\x0c", "\x0b", "\u3000", "\x85", " \xa0 ", "\u2028"], ids=repr)
+    def test_line_of_other_whitespace_is_malformed(self, tmp_path, space):
+        # str.strip removes these, but JSON does not count them as whitespace.
+        path = tmp_path / "space.jsonl"
+        path.write_text(
+            json.dumps(record("L1")) + "\n" + space + "\n" + json.dumps(record("L2")) + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ManifestError) as excinfo:
+            parse_manifest(path)
+        assert str(excinfo.value) == "space.jsonl:2: malformed JSON (Expecting value)"
+
     @pytest.mark.parametrize("field", ["line_id", "image", "page_id", "text", "annotator"])
     def test_unpaired_surrogate_rejected(self, tmp_path, field):
         rec = record("L1", page_id="P1")
@@ -387,6 +438,222 @@ class TestParseFuzz:
         path = tmp_path_factory.mktemp("fuzz") / "manifest.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="ascii")
         assert_parses_or_rejects(path)
+
+
+def _reference_view(path):
+    """A copy of ``path``, under the same name in a subdirectory, that the
+    reference parser must read as ``parse_manifest`` reads ``path``: each
+    line of whitespace that JSON does not count as such, which the reference
+    skipped, becomes a malformed line."""
+    view = path.parent / "reference" / path.name
+    view.parent.mkdir(exist_ok=True)
+    rows = []
+    for raw in path.read_bytes().split(b"\n"):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            text = None
+        rows.append(b"?" if text is not None and not text.strip() and text.strip(" \t\r") else raw)
+    view.write_bytes(b"\n".join(rows))
+    return view
+
+
+def assert_parses_as_reference(path):
+    """``parse_manifest`` gives the reference parser's corpus, or raises a
+    ``ManifestError`` with the same message."""
+    try:
+        expected = reference_parse_manifest(_reference_view(path))
+    except ManifestError as exc:
+        with pytest.raises(ManifestError) as excinfo:
+            parse_manifest(path)
+        assert str(excinfo.value) == str(exc)
+        return
+    corpus = parse_manifest(path)
+    assert corpus == expected
+    assert repr(corpus) == repr(expected)  # also tells 97 from 97.0
+
+
+#: The fields of a line (owner ``None``) and of its human (``0``) and
+#: automatic (``1``) transcription.
+_FIELDS = {
+    None: ["line_id", "image", "page_id", "split", "agreement", "transcriptions"],
+    0: ["text", "source", "annotator", "uncertain"],
+    1: ["text", "source", "annotator", "uncertain"],
+}
+_DROPPED = object()
+_ODD_VALUES = [
+    1, "u1", ["human"], "   ", True, None, "", "human", "auto:dan", "dev", "x\ud800", "\x0c",
+    "a\tb", "img\r1.png", "a\u2028b", "train", -0.0, -1, 100.5, 1e400, -1e400, 10**400,
+    float("nan"), 0, 100, [], {}, {"a": 1},
+]
+
+
+@st.composite
+def _records_with_bad_fields(draw):
+    """A record, valid but for its number of human readings, with one to
+    three fields, of the line or of its transcriptions, dropped or replaced
+    by an odd value."""
+    rec = record(
+        draw(st.sampled_from(["L1", "L2"])),
+        n_human=draw(st.integers(min_value=0, max_value=3)),
+        autos=draw(st.sampled_from([(), ("abc",), ("abc", "d e")])),
+        page_id="P1",
+        split="train",
+        agreement=50.0,
+    )
+    owners = [rec, *rec["transcriptions"]]
+    if len(owners) > 1:
+        owners[1]["annotator"] = "u1"
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        owner = draw(st.sampled_from(owners))
+        field = draw(st.sampled_from(_FIELDS[None if owner is rec else 0]))
+        if draw(st.booleans()):
+            owner.pop(field, None)
+        else:
+            owner[field] = draw(st.sampled_from(_ODD_VALUES) | _json_values | _any_text)
+    return rec
+
+
+class TestParseMatchesReference:
+    @given(data=st.binary(max_size=300))
+    def test_arbitrary_bytes(self, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ref") / "manifest.jsonl"
+        path.write_bytes(data)
+        assert_parses_as_reference(path)
+
+    @settings(suppress_health_check=[HealthCheck.too_slow])
+    @given(records=st.lists(_line_records, max_size=3))
+    def test_json_shaped_records(self, records, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ref") / "manifest.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="ascii")
+        assert_parses_as_reference(path)
+
+    @settings(suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        rows=st.lists(
+            _records_with_bad_fields().map(json.dumps)
+            | st.sampled_from(
+                ["", " \t", "\x0c", "\u3000", "\x85", "[]", "{}", "1 2", "\ufeff{}", " \ufeff{}"]
+            ),
+            max_size=4,
+        )
+    )
+    def test_records_with_bad_fields(self, rows, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ref") / "manifest.jsonl"
+        path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+        assert_parses_as_reference(path)
+
+    def test_each_field_dropped_or_replaced(self, tmp_path):
+        # One fault anywhere in a line, or two in one transcription, where
+        # the order of the checks decides which is reported.
+        cases = [[(owner, field, value)]
+                 for owner, fields in _FIELDS.items()
+                 for field in fields
+                 for value in (_DROPPED, *_ODD_VALUES)]
+        cases += [[(1, a, value_a), (1, b, value_b)]
+                  for a, b in itertools.combinations(_FIELDS[1], 2)
+                  for value_a in (_DROPPED, *_ODD_VALUES[:8])
+                  for value_b in (_DROPPED, *_ODD_VALUES[:8])]
+        cases += [[(None, "humans", n)] for n in (0, 3)]
+        for n, faults in enumerate(cases):
+            rec = record("L2", n_human=1, autos=("abc",), page_id="P1", split="train",
+                         agreement=50.0)
+            rec["transcriptions"][0]["annotator"] = "u1"
+            for owner, field, value in faults:
+                if field == "humans":
+                    rec = record("L2", n_human=value)
+                    continue
+                target = rec if owner is None else rec["transcriptions"][owner]
+                if value is _DROPPED:
+                    target.pop(field, None)
+                else:
+                    target[field] = copy.deepcopy(value)
+            directory = tmp_path / str(n)
+            directory.mkdir()
+            path = directory / "manifest.jsonl"
+            # ASCII, so that a lone surrogate is written as a \u escape
+            path.write_text(json.dumps(record("L1")) + "\n" + json.dumps(rec) + "\n",
+                            encoding="ascii")
+            assert_parses_as_reference(path)
+
+    @pytest.mark.parametrize(
+        "row",
+        ["", " \t\r", "\x0c", "\u3000", "\x85", "\ufeff{}", " \ufeff{}", "[]", "{}", "1 2",
+         "{} x", "nul", '"\\ud800"', "\x00"],
+        ids=repr,
+    )
+    def test_odd_row(self, tmp_path, row):
+        path = tmp_path / "manifest.jsonl"
+        path.write_text(json.dumps(record("L1")) + "\n" + row + "\n" + json.dumps(record("L2")),
+                        encoding="utf-8")
+        assert_parses_as_reference(path)
+
+    def test_valid_manifest(self, tmp_path):
+        recs = [record(f"L{i}", n_human=1 + i % 2, page_id=f"P{i % 3}", agreement=i * 7.5)
+                for i in range(12)]
+        recs[3]["transcriptions"][0].update(annotator="u1", uncertain=True)
+        recs[5]["split"] = "test"
+        path = tmp_path / "valid.jsonl"
+        write_records(path, recs)
+        assert_parses_as_reference(path)
+
+
+_tricky_text = st.text(
+    alphabet=st.characters()
+    | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\U0001f600", "\ud800"]),
+    max_size=8,
+)
+_agreements = (
+    st.none()
+    | st.sampled_from(
+        [0.0, 100.0, 5e-324, 97, -0.0, 0.1, 1e16, 1e-7, True, float("nan"), float("inf")]
+    )
+    | st.floats()
+    | st.integers()
+)
+
+
+@st.composite
+def _any_corpora(draw):
+    ids = draw(st.lists(st.text(min_size=1, max_size=6), max_size=4, unique=True))
+    lines = []
+    for line_id in ids:
+        transcriptions = []
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            kind = draw(st.sampled_from(list(SourceKind)))
+            annotator = draw(st.none() | _tricky_text) if kind is SourceKind.HUMAN else None
+            text = draw(_tricky_text.filter(normalize_text))
+            transcriptions.append(
+                Transcription(text, TranscriptionSource(kind, annotator), draw(st.booleans()))
+            )
+        lines.append(
+            TranscribedLine(
+                line_id,
+                draw(_tricky_text),
+                tuple(transcriptions),
+                page_id=draw(st.none() | _tricky_text),
+                split=draw(st.none() | st.sampled_from(list(Split))),
+                agreement=draw(_agreements),
+            )
+        )
+    return Corpus(tuple(lines))
+
+
+class TestWriteMatchesReference:
+    @settings(suppress_health_check=[HealthCheck.too_slow])
+    @given(corpus=_any_corpora())
+    def test_same_bytes_or_same_error(self, corpus, tmp_path_factory):
+        base = tmp_path_factory.mktemp("write")
+        outcomes = []
+        for write, name in ((reference_write_manifest, "ref.jsonl"), (write_manifest, "new.jsonl")):
+            try:
+                write(corpus, base / name)
+            except ValueError as exc:  # NaN or infinity, or a lone surrogate
+                outcomes.append((type(exc), str(exc)))
+                assert not (base / name).exists()
+            else:
+                outcomes.append((base / name).read_bytes())
+        assert outcomes[0] == outcomes[1]
 
 
 class TestStats:
