@@ -3,88 +3,75 @@
 Consensus voting over a token lattice, extractive weighted-medoid selection,
 inter-annotation agreement scoring, agreement-based or seeded-random corpus
 splitting, quality filtering, and training-manifest emission.
-"""
 
-from .corpus import (
-    Corpus,
-    ManifestError,
-    SourceKind,
-    Split,
-    StatsReport,
-    TranscribedLine,
-    Transcription,
-    TranscriptionSource,
-    canonical_transcriptions,
-    corpus_stats,
-    normalize_text,
-    parse_manifest,
-    write_manifest,
-)
-from .metrics import EditAlignment, cer, edit_distance, sym_char_distance, wer
-from .rover import (
-    ConsensusResult,
-    Granularity,
-    TokenLattice,
-    build_lattice,
-    consensus_transcription,
-    rover_consensus,
-    tokenize,
-    vote,
-)
-from .rasa import RasaSelection, distance_matrix, rasa_select, selected_transcription
-from .quality import agreement_score, annotate_agreement, filter_by_agreement
-from .splits import (
-    SeededRng,
-    agreement_split,
-    apply_split,
-    random_split,
-    split_counts,
-)
-from .assemble import EmissionRecord, Strategy, emit, write_ground_truth
+The names below are re-exported from their modules on first access
+(PEP 562), so importing the package, as every ``python -m aggrescribe``
+process does, loads none of them.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Corpus",
-    "ManifestError",
-    "SourceKind",
-    "Split",
-    "StatsReport",
-    "TranscribedLine",
-    "Transcription",
-    "TranscriptionSource",
-    "canonical_transcriptions",
-    "corpus_stats",
-    "normalize_text",
-    "parse_manifest",
-    "write_manifest",
-    "EditAlignment",
-    "cer",
-    "edit_distance",
-    "sym_char_distance",
-    "wer",
-    "ConsensusResult",
-    "Granularity",
-    "TokenLattice",
-    "build_lattice",
-    "consensus_transcription",
-    "rover_consensus",
-    "tokenize",
-    "vote",
-    "RasaSelection",
-    "distance_matrix",
-    "rasa_select",
-    "selected_transcription",
-    "agreement_score",
-    "annotate_agreement",
-    "filter_by_agreement",
-    "SeededRng",
-    "agreement_split",
-    "apply_split",
-    "random_split",
-    "split_counts",
-    "EmissionRecord",
-    "Strategy",
-    "emit",
-    "write_ground_truth",
-]
+#: Each re-exported name and the module that defines it.
+_HOMES = {
+    "Corpus": "corpus",
+    "ManifestError": "corpus",
+    "SourceKind": "corpus",
+    "Split": "corpus",
+    "StatsReport": "corpus",
+    "TranscribedLine": "corpus",
+    "Transcription": "corpus",
+    "TranscriptionSource": "corpus",
+    "canonical_transcriptions": "corpus",
+    "corpus_stats": "corpus",
+    "normalize_text": "corpus",
+    "parse_manifest": "corpus",
+    "write_manifest": "corpus",
+    "EditAlignment": "metrics",
+    "cer": "metrics",
+    "edit_distance": "metrics",
+    "sym_char_distance": "metrics",
+    "wer": "metrics",
+    "ConsensusResult": "rover",
+    "Granularity": "rover",
+    "TokenLattice": "rover",
+    "build_lattice": "rover",
+    "consensus_transcription": "rover",
+    "rover_consensus": "rover",
+    "tokenize": "rover",
+    "vote": "rover",
+    "RasaSelection": "rasa",
+    "distance_matrix": "rasa",
+    "rasa_select": "rasa",
+    "selected_transcription": "rasa",
+    "agreement_score": "quality",
+    "annotate_agreement": "quality",
+    "filter_by_agreement": "splits",
+    "SeededRng": "splits",
+    "agreement_split": "splits",
+    "apply_split": "splits",
+    "random_split": "splits",
+    "split_counts": "splits",
+    "EmissionRecord": "assemble",
+    "Strategy": "assemble",
+    "emit": "assemble",
+    "write_ground_truth": "assemble",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        # Also how ``from aggrescribe import cli`` learns to import the submodule.
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -136,7 +136,8 @@ def write_ground_truth(records: Sequence[EmissionRecord], directory: str | Path)
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    buckets: dict[Split, list[str]] = {split: [] for split in Split}
+    # Keyed by member value, which hashes in C, not by member (``Enum.__hash__``).
+    buckets: dict[str, list[str]] = {split.value: [] for split in Split}
     checked = object()  # the previous record's image, once there is one
     for record in records:
         image, text = record.image_ref, record.text
@@ -144,6 +145,6 @@ def write_ground_truth(records: Sequence[EmissionRecord], directory: str | Path)
             _check_field("image_ref", image)
             checked = image
         _check_field("text", text)
-        buckets[record.split].append(f"{image}\t{text}\n")
+        buckets[record.split._value_].append(f"{image}\t{text}\n")
     for split, filename in _FILENAMES.items():
-        atomic_write_text(directory / filename, "".join(buckets[split]))
+        atomic_write_text(directory / filename, "".join(buckets[split.value]))

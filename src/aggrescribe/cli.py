@@ -27,7 +27,6 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .assemble import Strategy, emit, write_ground_truth
 from .corpus import (
     Corpus,
     ManifestError,
@@ -37,10 +36,6 @@ from .corpus import (
     parse_manifest,
     write_manifest,
 )
-from .quality import agreement_score, filter_by_agreement
-from .rasa import selected_transcription
-from .rover import Granularity, consensus_transcription
-from .splits import agreement_split, apply_split, random_split, split_counts
 
 PROG = "aggrescribe"
 
@@ -50,6 +45,36 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 
 THREADS_ENV = "AGGRESCRIBE_THREADS"
+
+
+#: ``assemble.Strategy``'s values, for the parser, which must not load
+#: ``assemble`` for every command.
+STRATEGIES = ("random-one", "rasa-one", "rover-one", "all-human", "all-human-auto", "all")
+
+
+def __getattr__(name: str):
+    """A name the package exports, bound here on first access.
+
+    The commands call library names beyond ``corpus`` through this module's
+    attributes, read at each call. A command binds the names it calls, and
+    only those, when it runs (``_bind``), so a process loads only the modules
+    its command needs. A name set beforehand, by a patch or a tracer, is kept.
+    """
+    package = sys.modules[__package__]
+    if name not in package.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(package, name)
+    globals()[name] = value
+    return value
+
+
+def _bind(*names: str) -> None:
+    """Make the package's ``names`` attributes of this module, unless they
+    already are."""
+    bound = globals()
+    for name in names:
+        if name not in bound:
+            __getattr__(name)
 
 
 class UsageError(Exception):
@@ -259,14 +284,16 @@ def cmd_stats(args: argparse.Namespace) -> dict:
 
 
 def cmd_aggregate(args: argparse.Namespace) -> dict:
+    if args.method == "rover":
+        _bind("Granularity", "consensus_transcription")
+        level = Granularity.CHARACTER if args.level == "char" else Granularity.WORD
+        per_line = partial(consensus_transcription, level=level)
+    else:
+        _bind("selected_transcription")
+        per_line = selected_transcription
     clock = _Stopwatch()
     corpus = parse_manifest(args.manifest)
     clock.lap("parse_s")
-    level = Granularity.CHARACTER if args.level == "char" else Granularity.WORD
-    if args.method == "rover":
-        per_line = partial(consensus_transcription, level=level)
-    else:
-        per_line = selected_transcription
     threads = _thread_cap()
     aggregates = _map_lines(per_line, corpus.lines, threads)
     updated = Corpus(
@@ -287,6 +314,7 @@ def cmd_aggregate(args: argparse.Namespace) -> dict:
 
 
 def cmd_agree(args: argparse.Namespace) -> dict:
+    _bind("agreement_score")
     clock = _Stopwatch()
     corpus = parse_manifest(args.manifest)
     clock.lap("parse_s")
@@ -318,6 +346,7 @@ def cmd_agree(args: argparse.Namespace) -> dict:
 
 
 def cmd_split(args: argparse.Namespace) -> dict:
+    _bind("agreement_split", "apply_split", "random_split", "split_counts")
     clock = _Stopwatch()
     corpus = parse_manifest(args.manifest)
     clock.lap("parse_s")
@@ -357,6 +386,7 @@ def cmd_split(args: argparse.Namespace) -> dict:
 
 
 def cmd_filter(args: argparse.Namespace) -> dict:
+    _bind("filter_by_agreement", "split_counts")
     clock = _Stopwatch()
     corpus = parse_manifest(args.manifest)
     clock.lap("parse_s")
@@ -390,6 +420,7 @@ def cmd_filter(args: argparse.Namespace) -> dict:
 
 
 def cmd_emit(args: argparse.Namespace) -> dict:
+    _bind("Strategy", "emit", "write_ground_truth", "split_counts")
     clock = _Stopwatch()
     corpus = parse_manifest(args.manifest)
     clock.lap("parse_s")
@@ -475,9 +506,7 @@ def build_parser() -> _Parser:
     emit_cmd = add(
         "emit", cmd_emit, "write trainer-ready TSV ground truth under a strategy", output=False
     )
-    emit_cmd.add_argument(
-        "--strategy", choices=[s.value for s in Strategy], required=True
-    )
+    emit_cmd.add_argument("--strategy", choices=STRATEGIES, required=True)
     emit_cmd.add_argument("--seed", type=int, default=0, help="random-one selection seed")
     emit_cmd.add_argument("--out", type=Path, required=True, help="output directory")
 
@@ -510,5 +539,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     return EXIT_OK
 
 
+def run() -> None:
+    """Entry of an ``aggrescribe`` process: exit with ``main()``'s code.
+
+    Nothing the command built is needed once it returns, so the heap is
+    frozen: the interpreter's exit then skips its cyclic collection over
+    everything still alive. ``sys.exit`` still runs atexit handlers and
+    flushes the standard streams."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

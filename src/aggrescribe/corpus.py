@@ -397,9 +397,9 @@ def parse_manifest(path: str | Path) -> Corpus:
                 line_id = record.get("line_id") if isinstance(record, dict) else None
                 named = f" (line_id {line_id!r})" if isinstance(line_id, str) and line_id else ""
                 raise ManifestError(f"{path.name}:{lineno}{named}: {exc}") from None
-            # Only a \u escape can yield a lone surrogate, so lines without
-            # one skip the check.
-            if "\\u" in text:
+            # Only an escape of \ud800-\udfff can yield a lone surrogate, so
+            # lines without a \ud or \uD skip the check.
+            if "\\ud" in text or "\\uD" in text:
                 _require_utf8(line, f"{path.name}:{lineno}")
             if line.line_id in seen:
                 raise ManifestError(f"{path.name}:{lineno}: duplicate line_id {line.line_id!r}")
@@ -447,8 +447,10 @@ def atomic_write_text(path: str | Path, content: str) -> None:
 #: float: ``json.dumps(value, ensure_ascii=False, allow_nan=False)``, built once.
 _ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
 
-_SPLIT_FIELD = {split: f', "split": "{split.value}"' for split in Split}
-_SOURCE_FIELD = {kind: f', "source": "{kind.value}"' for kind in SourceKind}
+#: Fields by member value: ``member._value_`` is a plain attribute and a str
+#: key hashes in C, where a member key calls ``Enum.__hash__`` per lookup.
+_SPLIT_FIELD = {split.value: f', "split": "{split.value}"' for split in Split}
+_SOURCE_FIELD = {kind.value: f', "source": "{kind.value}"' for kind in SourceKind}
 
 
 def _json_number(value: object) -> str:
@@ -489,7 +491,7 @@ def write_manifest(corpus: Corpus, path: str | Path) -> None:
             add(', "page_id": ')
             add(quote(line.page_id))
         if line.split is not None:
-            add(_SPLIT_FIELD[line.split])
+            add(_SPLIT_FIELD[line.split._value_])
         if line.agreement is not None:
             add(', "agreement": ')
             add(_json_number(line.agreement))
@@ -498,7 +500,7 @@ def write_manifest(corpus: Corpus, path: str | Path) -> None:
             source = t.source
             add(opening)
             add(quote(t.text))
-            add(_SOURCE_FIELD[source.kind])
+            add(_SOURCE_FIELD[source.kind._value_])
             if source.annotator_id is not None:
                 add(', "annotator": ')
                 add(quote(source.annotator_id))

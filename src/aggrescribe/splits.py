@@ -1,4 +1,5 @@
-"""Train/validation/test assignment, by annotator agreement or at random.
+"""Train/validation/test assignment, by annotator agreement or at random, and
+agreement-threshold filtering of the training split.
 
 The agreement rule follows the two-annotator distance: identical human
 transcriptions go to test, near matches (distance strictly between 0 and 5%)
@@ -109,10 +110,10 @@ def random_split(
 
 
 def split_counts(splits: Iterable[Split]) -> dict[Split, int]:
-    counts = {split: 0 for split in Split}
-    for split in splits:
-        counts[split] += 1
-    return counts
+    # ``list.count`` compares members by identity in C; a dict keyed by
+    # member would call ``Enum.__hash__``, a Python function, per item.
+    splits = list(splits)
+    return {split: splits.count(split) for split in Split}
 
 
 def apply_split(corpus: Corpus, assignments: Mapping[str, Split]) -> Corpus:
@@ -129,3 +130,31 @@ def apply_split(corpus: Corpus, assignments: Mapping[str, Split]) -> Corpus:
         return line.with_split(split)
 
     return corpus.map_lines(_annotate)
+
+
+def filter_by_agreement(corpus: Corpus, threshold: float) -> Corpus:
+    """Drop train lines whose agreement scores strictly below the threshold.
+
+    Each line's split and score are read from the line itself. Validation and
+    test lines pass through untouched; a line scoring exactly the threshold
+    is retained.
+
+    Raises:
+        ValueError: on a threshold outside [0, 100].
+        ManifestError: on a line without a split, or a train line without an
+            agreement score.
+    """
+    if not 0.0 <= threshold <= 100.0:
+        raise ValueError(f"threshold must be in [0, 100], got {threshold}")
+    kept = []
+    for line in corpus.lines:
+        if line.split is None:
+            raise ManifestError(f"line {line.line_id!r} has no split annotation")
+        if line.split is not Split.TRAIN:
+            kept.append(line)
+            continue
+        if line.agreement is None:
+            raise ManifestError(f"train line {line.line_id!r} has no agreement score")
+        if line.agreement >= threshold:
+            kept.append(line)
+    return Corpus(tuple(kept))

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from aggrescribe import ManifestError, cli, parse_manifest
+import aggrescribe
+from aggrescribe import ManifestError, Strategy, assemble, cli, parse_manifest, splits
 from aggrescribe.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from conftest import child_env
 
@@ -389,6 +390,186 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
+    def test_package_import_loads_no_module(self, tmp_path):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-S",
+                "-c",
+                "import sys, aggrescribe\n"
+                "print(sorted(m for m in sys.modules if m.startswith('aggrescribe.')))",
+            ],
+            cwd=tmp_path,
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize(
+        "argv, modules",
+        [
+            (["--version"], []),
+            (["validate", "in.jsonl"], []),
+            (["stats", "in.jsonl"], []),
+            (["aggregate", "in.jsonl", "-o", "out.jsonl", "--method", "rover"], ["rover"]),
+            (["aggregate", "in.jsonl", "-o", "out.jsonl", "--method", "rasa"],
+             ["metrics", "rasa"]),
+            (["agree", "in.jsonl", "-o", "out.jsonl"], ["metrics", "quality", "rover"]),
+            (["split", "in.jsonl", "-o", "out.jsonl", "--mode", "agreement"],
+             ["metrics", "splits"]),
+            (["split", "in.jsonl", "-o", "out.jsonl", "--mode", "random"],
+             ["metrics", "splits"]),
+            (["filter", "in.jsonl", "-o", "out.jsonl", "--min-agreement", "90"],
+             ["metrics", "splits"]),
+            (["emit", "in.jsonl", "--strategy", "all-human", "--out", "gt"],
+             ["assemble", "metrics", "splits"]),
+        ],
+        ids=["version", "validate", "stats", "aggregate-rover", "aggregate-rasa", "agree",
+             "split-agreement", "split-random", "filter", "emit"],
+    )
+    def test_stage_loads_only_its_modules(self, tmp_path, scored, argv, modules):
+        # What ``python -m aggrescribe`` runs, under -S so that nothing but
+        # the stage loads a module; every stage also loads ``cli`` and ``corpus``.
+        shutil.copyfile(scored, tmp_path / "in.jsonl")
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-S",
+                "-c",
+                "import runpy, sys\n"
+                "sys.argv = ['aggrescribe', *sys.argv[1:]]\n"
+                "try:\n"
+                "    runpy.run_module('aggrescribe', run_name='__main__', alter_sys=True)\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code == 0, exc.code\n"
+                "print(sorted(m for m in sys.modules if m.startswith('aggrescribe.')))",
+                *argv,
+            ],
+            cwd=tmp_path,
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        expected = sorted(f"aggrescribe.{m}" for m in ["cli", "corpus", *modules])
+        assert proc.stdout.splitlines()[-1] == repr(expected)
+
+    def test_lazy_package_names(self):
+        for name in aggrescribe.__all__:
+            value = getattr(aggrescribe, name)
+            assert getattr(sys.modules[value.__module__], name) is value
+        assert set(aggrescribe.__all__) <= set(dir(aggrescribe))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            aggrescribe.no_such_name
+
+    def test_lazy_cli_names(self):
+        assert cli.STRATEGIES == tuple(s.value for s in Strategy)
+        assert cli.emit is assemble.emit and cli.filter_by_agreement is splits.filter_by_agreement
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cli.no_such_name
+
+
+@pytest.fixture(scope="module")
+def scored(tmp_path_factory):
+    """The fixture with agreement scores and the agreement split: an input
+    every command accepts."""
+    directory = tmp_path_factory.mktemp("scored")
+    agreed, split = directory / "agreed.jsonl", directory / "split.jsonl"
+    assert run("agree", FIXTURE, "-o", agreed) == EXIT_OK
+    assert run("split", agreed, "-o", split, "--mode", "agreement") == EXIT_OK
+    return split
+
+
+#: The two ways a process enters the CLI: ``python -m aggrescribe`` and the
+#: ``aggrescribe`` console script, which calls ``cli.run``.
+_ENTRIES = pytest.mark.parametrize(
+    "entry",
+    [["-m", "aggrescribe"], ["-c", "from aggrescribe.cli import run; run()"]],
+    ids=["python-m", "cli-run"],
+)
+
+
+def _piped_env() -> dict[str, str]:
+    # Block-buffered standard streams, as a pipe gives them by default, so
+    # that an exit which skipped the flush would lose what they hold.
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+class TestProcessEntry:
+    @_ENTRIES
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["validate", FIXTURE], EXIT_OK, ""),
+            (["frobnicate"], EXIT_USAGE, "invalid choice: 'frobnicate'"),
+            (["validate", "bad.jsonl"], EXIT_VALIDATION, "manifest error: bad.jsonl:1"),
+            (["stats", "missing.jsonl"], EXIT_IO, "i/o error:"),
+        ],
+        ids=["ok", "usage", "validation", "io"],
+    )
+    def test_exit_codes(self, tmp_path, entry, argv, code, err):
+        (tmp_path / "bad.jsonl").write_text('{"line_id": "A"}\n', encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, *entry, *map(str, argv)],
+            cwd=tmp_path,
+            env=_piped_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert err in proc.stderr and proc.stderr.endswith("\n" if err else "")
+
+    @_ENTRIES
+    def test_streams_arrive_complete_through_a_pipe(self, tmp_path, capsys, entry):
+        argv = ["--json", "stats", str(FIXTURE)]
+        assert main(argv) == EXIT_OK
+        expected = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, *entry, *argv],
+            cwd=tmp_path,
+            env=_piped_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == expected.out
+        summary, wanted = json.loads(proc.stderr), json.loads(expected.err)
+        del summary["timings"], wanted["timings"]
+        assert summary == wanted
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "import runpy\nrunpy.run_module('aggrescribe', run_name='__main__', alter_sys=True)",
+            "from aggrescribe.cli import run\nrun()",
+        ],
+        ids=["python-m", "cli-run"],
+    )
+    def test_atexit_handler_runs(self, tmp_path, entry):
+        code = (
+            "import atexit, sys\n"
+            "atexit.register(print, 'atexit handler ran')\n"
+            f"sys.argv[1:] = ['validate', {str(FIXTURE)!r}]\n" + entry
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=tmp_path,
+            env=_piped_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines() == [f"ok: 50 lines ({FIXTURE})", "atexit handler ran"]
+
 
 class TestFileModes:
     @pytest.mark.parametrize(
@@ -470,6 +651,18 @@ class TestManifestBoundary:
         assert run("validate", bad) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "bad.jsonl:2" in err and "UTF-8" in err
+
+    def test_upper_case_lone_surrogate_escape_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        good = json.dumps(manifest_line())
+        bad.write_text(
+            good + "\n" + good.replace('"A"', '"B"').replace("bonjour", "bon\\uDC00jour") + "\n",
+            encoding="ascii",
+        )
+        assert run("validate", bad) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "aggrescribe: manifest error: bad.jsonl:2: 'text' contains an unpaired surrogate\n"
+        )
 
     def test_tab_in_image_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

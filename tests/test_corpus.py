@@ -300,6 +300,30 @@ class TestParse:
         with pytest.raises(ManifestError, match=f"'{field}' contains an unpaired surrogate"):
             parse_manifest(path)
 
+    def test_ascii_escaped_manifest_parses_as_its_utf8_twin(self, tmp_path):
+        # ``json.dumps``'s default ``ensure_ascii=True`` writes every letter
+        # past ASCII as a \u escape, or two for one past the BMP.
+        records = [
+            record("L1", n_human=2, text="séance à Belfort", page_id="Pé"),
+            record("L2", autos=("Ærø 𝄞 ﬁn", "naïve"), text="ÉTAT ‘civil’"),
+        ]
+        records[0]["transcriptions"][0]["annotator"] = "Zoë"
+        escaped, raw = tmp_path / "escaped.jsonl", tmp_path / "raw.jsonl"
+        escaped.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="ascii")
+        write_records(raw, records)
+        assert "\\u00e9" in escaped.read_text(encoding="ascii")
+        assert "\\ud834\\udd1e" in escaped.read_text(encoding="ascii")
+        assert parse_manifest(escaped) == parse_manifest(raw)
+
+    @pytest.mark.parametrize("escape", ["\\uDC00", "\\uD800", "\\udC00"])
+    def test_upper_case_surrogate_escape_rejected(self, tmp_path, escape):
+        line = json.dumps(record("L2", text="a@b")).replace("@", escape)
+        path = tmp_path / "upper.jsonl"
+        path.write_text(json.dumps(record("L1")) + "\n" + line + "\n", encoding="ascii")
+        with pytest.raises(ManifestError) as excinfo:
+            parse_manifest(path)
+        assert str(excinfo.value) == "upper.jsonl:2: 'text' contains an unpaired surrogate"
+
 
 corpus_text = st.text(
     alphabet="abcdefé à-',. 0123456789́", min_size=1, max_size=30
