@@ -26,9 +26,7 @@ _HOMES = {
     "normalize_text": "corpus",
     "parse_manifest": "corpus",
     "write_manifest": "corpus",
-    "EditAlignment": "metrics",
     "cer": "metrics",
-    "edit_distance": "metrics",
     "sym_char_distance": "metrics",
     "wer": "metrics",
     "ConsensusResult": "rover",

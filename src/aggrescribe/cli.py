@@ -346,6 +346,8 @@ def cmd_agree(args: argparse.Namespace) -> dict:
 
 
 def cmd_split(args: argparse.Namespace) -> dict:
+    if args.mode == "agreement" and args.sizes is not None:
+        raise UsageError("--sizes applies only to --mode random")
     _bind("agreement_split", "apply_split", "random_split", "split_counts")
     clock = _Stopwatch()
     corpus = parse_manifest(args.manifest)

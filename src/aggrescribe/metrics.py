@@ -1,4 +1,4 @@
-"""Edit distance with alignment traceback, plus the CER/WER/symmetric rates.
+"""Edit distance and the CER/WER/symmetric rates built on it.
 
 All functions work on plain Python sequences: character-level callers pass
 strings directly (a ``str`` is a sequence of Unicode scalars), word-level
@@ -10,82 +10,12 @@ Hyyrö's formulation (Myers 1999; Hyyrö 2003). It first trims the prefix and
 suffix the two inputs share, which leaves the distance unchanged, then
 computes the distance of the middles a column at a time, with one Python int
 per bit vector, in one big-int step per token of the longer middle.
-Near-identical readings thus cost a few steps, not one per character. Only
-``edit_distance``, which must return an alignment, fills a full
-dynamic-programming table and traces back through it.
+Near-identical readings thus cost a few steps, not one per character.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-
-from .corpus import Record, _set
-
-MATCH = "match"
-SUBSTITUTE = "substitute"
-DELETE = "delete"
-INSERT = "insert"
-
-
-class EditAlignment(Record):
-    """Minimum unit-cost edit distance together with one optimal alignment.
-
-    ``ops`` is a tuple of ``(kind, i, j)`` steps where ``i`` indexes the
-    source sequence and ``j`` the target; the side a step does not consume is
-    ``None``. Replaying the steps on the source yields the target, and
-    ``distance`` equals the number of non-match steps. When several optimal
-    alignments exist the traceback prefers match, then substitute, then
-    delete, then insert, so the result is deterministic.
-    """
-
-    __slots__ = ("distance", "ops")
-
-    def __init__(self, distance: int, ops: tuple[tuple[str, int | None, int | None], ...]) -> None:
-        _set(self, "distance", distance)
-        _set(self, "ops", ops)
-
-
-def edit_distance(a: Sequence[str], b: Sequence[str]) -> EditAlignment:
-    """Align two token sequences with unit costs (Levenshtein).
-
-    Substitutions, insertions and deletions all cost 1. Empty sequences are
-    allowed.
-
-    This fills the full O(m·n) table to recover the alignment. Callers that
-    need only the distance should use ``cer``, ``wer`` or
-    ``sym_char_distance``: they run the bit-parallel kernel, which every hot
-    path of the package uses.
-    """
-    m, n = len(a), len(b)
-    dist = [list(range(n + 1))] + [[i] + [0] * n for i in range(1, m + 1)]
-    for i in range(1, m + 1):
-        row, prev = dist[i], dist[i - 1]
-        ai = a[i - 1]
-        for j in range(1, n + 1):
-            row[j] = min(
-                prev[j - 1] + (ai != b[j - 1]),
-                prev[j] + 1,
-                row[j - 1] + 1,
-            )
-
-    ops: list[tuple[str, int | None, int | None]] = []
-    i, j = m, n
-    while i > 0 or j > 0:
-        d = dist[i][j]
-        if i > 0 and j > 0 and a[i - 1] == b[j - 1] and dist[i - 1][j - 1] == d:
-            ops.append((MATCH, i - 1, j - 1))
-            i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and dist[i - 1][j - 1] + 1 == d:
-            ops.append((SUBSTITUTE, i - 1, j - 1))
-            i, j = i - 1, j - 1
-        elif i > 0 and dist[i - 1][j] + 1 == d:
-            ops.append((DELETE, i - 1, None))
-            i -= 1
-        else:
-            ops.append((INSERT, None, j - 1))
-            j -= 1
-    ops.reverse()
-    return EditAlignment(distance=dist[m][n], ops=tuple(ops))
 
 
 def _distance(a: Sequence[str], b: Sequence[str]) -> int:

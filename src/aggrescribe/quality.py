@@ -2,8 +2,8 @@
 
 The agreement score of a line is ``100 * (1 - mean normalized character
 distance)`` between each of its human/automatic transcriptions and their
-character-level consensus. 100 means every transcription is identical; the
-mean distance is clamped at 1 so the score never goes negative.
+character-level consensus. 100 means every transcription is identical; each
+normalized distance is at most 1, so the score never goes negative.
 ``splits.filter_by_agreement`` filters a training set by these scores.
 """
 
@@ -27,7 +27,7 @@ def agreement_score(line: TranscribedLine) -> float:
         raise ManifestError(f"line {line.line_id!r} has no votable transcriptions")
     consensus = rover_consensus(texts, Granularity.CHARACTER).text
     mean_distance = math.fsum(sym_char_distance(text, consensus) for text in texts) / len(texts)
-    return 100.0 * (1.0 - min(1.0, mean_distance))
+    return 100.0 * (1.0 - mean_distance)
 
 
 def annotate_agreement(corpus: Corpus) -> Corpus:

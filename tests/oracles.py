@@ -73,40 +73,6 @@ def dp_distance(a: Sequence[str], b: Sequence[str]) -> int:
     return prev[-1]
 
 
-def check_alignment(ops, source, target, distance) -> None:
-    """Assert that ops is a complete monotone alignment of source onto
-    target: every index is consumed in order, matches really match, and the
-    non-match step count equals the distance. Replaying such an alignment on
-    the source necessarily yields the target."""
-    i_cursor = 0
-    j_cursor = 0
-    non_match = 0
-    for kind, i, j in ops:
-        if kind == "match":
-            assert i == i_cursor and j == j_cursor
-            assert source[i] == target[j]
-            i_cursor += 1
-            j_cursor += 1
-        elif kind == "substitute":
-            assert i == i_cursor and j == j_cursor
-            assert source[i] != target[j]
-            i_cursor += 1
-            j_cursor += 1
-            non_match += 1
-        elif kind == "delete":
-            assert i == i_cursor and j is None
-            i_cursor += 1
-            non_match += 1
-        elif kind == "insert":
-            assert i is None and j == j_cursor
-            j_cursor += 1
-            non_match += 1
-        else:
-            raise AssertionError(f"unknown op kind {kind!r}")
-    assert i_cursor == len(source) and j_cursor == len(target)
-    assert non_match == distance
-
-
 def positional_consensus(texts) -> str:
     """Per-position plurality over equal-length texts, ties to the smallest
     character. Valid only when all texts have the same length."""

@@ -49,6 +49,14 @@ class TestExitCodes:
                    "--mode", "random", "--sizes", "1,1,1")
         assert code == EXIT_USAGE
 
+    def test_sizes_with_agreement_mode_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o.jsonl"
+        code = run("split", FIXTURE, "-o", out, "--mode", "agreement", "--sizes", "1,2,3")
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--sizes" in err and "--mode random" in err
+        assert not out.exists()
+
     def test_bad_threads_env_is_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("AGGRESCRIBE_THREADS", "many")
         out = tmp_path / "o.jsonl"

@@ -11,7 +11,6 @@ import pytest
 from aggrescribe import (
     ConsensusResult,
     Corpus,
-    EditAlignment,
     EmissionRecord,
     RasaSelection,
     SourceKind,
@@ -53,10 +52,6 @@ def samples():
         StatsReport: (
             lambda: StatsReport(3, 1, {"human": 4}, {1: 2, 2: 1}),
             StatsReport(3, 2, {"human": 4}, {1: 2, 2: 1}),
-        ),
-        EditAlignment: (
-            lambda: EditAlignment(1, (("match", 0, 0), ("insert", None, 1))),
-            EditAlignment(0, (("match", 0, 0),)),
         ),
         TokenLattice: (
             lambda: TokenLattice(({"a": 2}, {"b": 1, None: 1}), 2),
