@@ -284,10 +284,13 @@ def cmd_stats(args: argparse.Namespace) -> dict:
 
 
 def cmd_aggregate(args: argparse.Namespace) -> dict:
+    if args.method == "rasa" and args.level is not None:
+        raise UsageError("--level applies only to --method rover")
+    level = "char" if args.method == "rover" and args.level is None else args.level
     if args.method == "rover":
         _bind("Granularity", "consensus_transcription")
-        level = Granularity.CHARACTER if args.level == "char" else Granularity.WORD
-        per_line = partial(consensus_transcription, level=level)
+        granularity = Granularity.CHARACTER if level == "char" else Granularity.WORD
+        per_line = partial(consensus_transcription, level=granularity)
     else:
         _bind("selected_transcription")
         per_line = selected_transcription
@@ -306,7 +309,7 @@ def cmd_aggregate(args: argparse.Namespace) -> dict:
     return {
         "command": "aggregate",
         "method": args.method,
-        "level": args.level,
+        "level": level,
         "lines": len(updated),
         "output": str(args.output),
         "timings": clock.timings(len(corpus)),
@@ -346,37 +349,40 @@ def cmd_agree(args: argparse.Namespace) -> dict:
 
 
 def cmd_split(args: argparse.Namespace) -> dict:
-    if args.mode == "agreement" and args.sizes is not None:
-        raise UsageError("--sizes applies only to --mode random")
+    if args.mode == "agreement":
+        for flag, value in (("--sizes", args.sizes), ("--seed", args.seed)):
+            if value is not None:
+                raise UsageError(f"{flag} applies only to --mode random")
+    seed = 0 if args.mode == "random" and args.seed is None else args.seed
     _bind("agreement_split", "apply_split", "random_split", "split_counts")
     clock = _Stopwatch()
     corpus = parse_manifest(args.manifest)
     clock.lap("parse_s")
     if args.mode == "agreement":
-        assignments = agreement_split(corpus)
+        splits = agreement_split(corpus)
     else:
         sizes = args.sizes
         if sizes is None:
             # The paper-shaped default: a random split with the same
             # cardinalities the agreement rule would produce.
-            counts = split_counts(agreement_split(corpus).values())
+            counts = split_counts(agreement_split(corpus))
             sizes = (counts[Split.TRAIN], counts[Split.VALIDATION], counts[Split.TEST])
         if sum(sizes) != len(corpus):
             raise UsageError(
                 f"--sizes {sizes} sum to {sum(sizes)}, but the manifest has "
                 f"{len(corpus)} lines"
             )
-        assignments = random_split(corpus, sizes, args.seed)
-    updated = apply_split(corpus, assignments)
+        splits = random_split(corpus, sizes, seed)
+    updated = apply_split(corpus, splits)
     clock.lap("compute_s")
     write_manifest(updated, args.output)
     clock.lap("write_s")
-    counts = split_counts(assignments.values())
+    counts = split_counts(splits)
     _print_table(_split_table(counts))
     return {
         "command": "split",
         "mode": args.mode,
-        "seed": args.seed,
+        "seed": seed,
         "counts": {
             "train": counts[Split.TRAIN],
             "val": counts[Split.VALIDATION],
@@ -483,15 +489,14 @@ def build_parser() -> _Parser:
     aggregate.add_argument(
         "--level",
         choices=("char", "word"),
-        default="char",
-        help="voting granularity (rover only; rasa compares whole strings)",
+        help="rover voting granularity (default: char); rasa compares whole strings",
     )
 
     add("agree", cmd_agree, "annotate every line with its agreement score")
 
     split = add("split", cmd_split, "assign train/val/test splits")
     split.add_argument("--mode", choices=("agreement", "random"), required=True)
-    split.add_argument("--seed", type=int, default=0, help="random-mode shuffle seed")
+    split.add_argument("--seed", type=int, help="random-mode shuffle seed (default: 0)")
     split.add_argument(
         "--sizes",
         type=_sizes,

@@ -6,11 +6,13 @@ transcriptions go to test, near matches (distance strictly between 0 and 5%)
 to validation, everything else to train. The random rule shuffles line
 indices with a seeded, platform-stable generator and cuts the requested
 sizes, so a given seed always reproduces the same manifest byte for byte.
+Both rules return one split per line, in the corpus's line order, and
+``apply_split`` writes such a list onto the lines.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, MutableSequence
+from collections.abc import Iterable, MutableSequence, Sequence
 
 from .corpus import Corpus, ManifestError, Split
 from .metrics import sym_char_distance
@@ -48,8 +50,8 @@ class SeededRng:
             items[i], items[j] = items[j], items[i]
 
 
-def agreement_split(corpus: Corpus) -> dict[str, Split]:
-    """Assign each line by the two-annotator agreement rule.
+def agreement_split(corpus: Corpus) -> list[Split]:
+    """Each line's split by the two-annotator agreement rule, in line order.
 
     Lines with a single human transcription train; with two, the symmetric
     character distance decides: 0 tests, (0, 0.05) validates, anything else
@@ -58,29 +60,25 @@ def agreement_split(corpus: Corpus) -> dict[str, Split]:
     Raises:
         ManifestError: if a line has no human transcription.
     """
-    assignments: dict[str, Split] = {}
+    splits = []
     for line in corpus.lines:
         humans = line.human_transcriptions
         if not humans:
             raise ManifestError(f"line {line.line_id!r} has no human transcription")
+        split = Split.TRAIN
         if len(humans) == 2:
             distance = sym_char_distance(humans[0].text, humans[1].text)
             if distance == 0.0:
                 split = Split.TEST
             elif distance < VALIDATION_BAND:
                 split = Split.VALIDATION
-            else:
-                split = Split.TRAIN
-        else:
-            split = Split.TRAIN
-        assignments[line.line_id] = split
-    return assignments
+        splits.append(split)
+    return splits
 
 
-def random_split(
-    corpus: Corpus, sizes: tuple[int, int, int], seed: int
-) -> dict[str, Split]:
-    """Seeded random partition with exact cardinalities.
+def random_split(corpus: Corpus, sizes: tuple[int, int, int], seed: int) -> list[Split]:
+    """Seeded random partition with exact cardinalities: each line's split,
+    in line order.
 
     ``sizes`` is (train, validation, test) and must sum to the corpus size.
 
@@ -97,16 +95,10 @@ def random_split(
         )
     order = list(range(len(corpus.lines)))
     SeededRng(seed).shuffle(order)
-    assignments: dict[str, Split] = {}
-    for position, index in enumerate(order):
-        if position < train:
-            split = Split.TRAIN
-        elif position < train + validation:
-            split = Split.VALIDATION
-        else:
-            split = Split.TEST
-        assignments[corpus.lines[index].line_id] = split
-    return assignments
+    splits = [Split.TEST] * len(order)
+    for position, index in enumerate(order[: train + validation]):
+        splits[index] = Split.TRAIN if position < train else Split.VALIDATION
+    return splits
 
 
 def split_counts(splits: Iterable[Split]) -> dict[Split, int]:
@@ -116,20 +108,13 @@ def split_counts(splits: Iterable[Split]) -> dict[Split, int]:
     return {split: splits.count(split) for split in Split}
 
 
-def apply_split(corpus: Corpus, assignments: Mapping[str, Split]) -> Corpus:
-    """Annotate every line with its assigned split.
+def apply_split(corpus: Corpus, splits: Sequence[Split]) -> Corpus:
+    """Annotate each line with the split at its position in ``splits``.
 
     Raises:
-        ValueError: if a line is missing from the assignment map.
+        ValueError: if ``splits`` and the corpus differ in length.
     """
-
-    def _annotate(line):
-        split = assignments.get(line.line_id)
-        if split is None:
-            raise ValueError(f"line {line.line_id!r} is missing from the split map")
-        return line.with_split(split)
-
-    return corpus.map_lines(_annotate)
+    return Corpus(tuple(line.with_split(s) for line, s in zip(corpus.lines, splits, strict=True)))
 
 
 def filter_by_agreement(corpus: Corpus, threshold: float) -> Corpus:

@@ -5,8 +5,10 @@ is a memoized top-down recursion, and the consensus oracle is a direct
 per-position count. Expected values frozen in the test modules were computed
 with these. The other references are the code the library ran before its
 faster replacements: the numpy RASA iteration, the two-row edit-distance DP,
-the full-table lattice merge, and the manifest parser, manifest writer and
-emission code that ran before the one-pass parser and the direct JSON writer.
+the full-table lattice merge, the manifest parser, manifest writer and
+emission code that ran before the one-pass parser and the direct JSON writer,
+and the split rules as they were when they returned ``line_id`` → ``Split``
+maps instead of line-ordered lists.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from aggrescribe.corpus import (
 from aggrescribe.metrics import sym_char_distance
 from aggrescribe.rasa import EPSILON, MAX_ITERATIONS, TOLERANCE, RasaSelection
 from aggrescribe.rover import NULL
-from aggrescribe.splits import SeededRng
+from aggrescribe.splits import VALIDATION_BAND, SeededRng
 
 
 def brute_edit_distance(a, b) -> int:
@@ -433,3 +435,64 @@ def reference_write_ground_truth(records: Sequence[EmissionRecord], directory) -
         buckets[record.split].append(f"{record.image_ref}\t{record.text}\n")
     for split, filename in _FILENAMES.items():
         atomic_write_text(directory / filename, "".join(buckets[split]))
+
+
+def reference_agreement_split(corpus: Corpus) -> dict[str, Split]:
+    """Assign each line by the two-annotator agreement rule.
+
+    Lines with a single human transcription train; with two, the symmetric
+    character distance decides: 0 tests, (0, 0.05) validates, anything else
+    (the 5% boundary included) trains.
+
+    Raises:
+        ManifestError: if a line has no human transcription.
+    """
+    assignments: dict[str, Split] = {}
+    for line in corpus.lines:
+        humans = line.human_transcriptions
+        if not humans:
+            raise ManifestError(f"line {line.line_id!r} has no human transcription")
+        if len(humans) == 2:
+            distance = sym_char_distance(humans[0].text, humans[1].text)
+            if distance == 0.0:
+                split = Split.TEST
+            elif distance < VALIDATION_BAND:
+                split = Split.VALIDATION
+            else:
+                split = Split.TRAIN
+        else:
+            split = Split.TRAIN
+        assignments[line.line_id] = split
+    return assignments
+
+
+def reference_random_split(
+    corpus: Corpus, sizes: tuple[int, int, int], seed: int
+) -> dict[str, Split]:
+    """Seeded random partition with exact cardinalities.
+
+    ``sizes`` is (train, validation, test) and must sum to the corpus size.
+
+    Raises:
+        ValueError: on negative sizes or a size/corpus mismatch.
+    """
+    train, validation, test = sizes
+    if min(train, validation, test) < 0:
+        raise ValueError(f"split sizes must be non-negative, got {sizes}")
+    if train + validation + test != len(corpus.lines):
+        raise ValueError(
+            f"split sizes {sizes} sum to {train + validation + test}, "
+            f"but the corpus has {len(corpus.lines)} lines"
+        )
+    order = list(range(len(corpus.lines)))
+    SeededRng(seed).shuffle(order)
+    assignments: dict[str, Split] = {}
+    for position, index in enumerate(order):
+        if position < train:
+            split = Split.TRAIN
+        elif position < train + validation:
+            split = Split.VALIDATION
+        else:
+            split = Split.TEST
+        assignments[corpus.lines[index].line_id] = split
+    return assignments

@@ -85,7 +85,7 @@ def test_criterion_1_stats(belfort):
 @needs_belfort
 def test_criterion_2_agreement_split(belfort):
     started = time.perf_counter()
-    counts = split_counts(agreement_split(belfort).values())
+    counts = split_counts(agreement_split(belfort))
     elapsed = time.perf_counter() - started
     expected = {Split.TRAIN: 19013, Split.VALIDATION: 2262, Split.TEST: 2830}
     ok = elapsed < 60.0 and all(
@@ -313,10 +313,10 @@ def test_criterion_9_split_properties(tmp_path):
                 humans = (base, "".join(chars).strip() or "y")
             lines.append(build_line(f"L{i}", humans=humans))
         corpus = Corpus(tuple(lines))
-        assignments = agreement_split(corpus)
-        assert set(assignments) == {line.line_id for line in corpus}  # partition
-        for line in corpus:
-            if assignments[line.line_id] is Split.TEST:
+        splits = agreement_split(corpus)
+        assert len(splits) == len(corpus)  # partition
+        for line, split in zip(corpus, splits):
+            if split is Split.TEST:
                 h = line.human_transcriptions
                 assert len(h) == 2 and h[0].text == h[1].text  # soundness
 
@@ -326,7 +326,7 @@ def test_criterion_9_split_properties(tmp_path):
     first = random_split(corpus, sizes, seed=1234)
     second = random_split(corpus, sizes, seed=1234)
     assert first == second
-    assert split_counts(first.values()) == {
+    assert split_counts(first) == {
         Split.TRAIN: 30,
         Split.VALIDATION: 12,
         Split.TEST: 8,

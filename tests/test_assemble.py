@@ -344,7 +344,8 @@ class TestErrorKinds:
         [
             lambda: filter_by_agreement(Corpus(()), 100.5),
             lambda: random_split(_one(build_line("A")), (2, 0, 0), seed=0),
-            lambda: apply_split(_one(build_line("A")), {}),
+            lambda: apply_split(_one(build_line("A")), []),
+            lambda: apply_split(_one(build_line("A")), [Split.TRAIN, Split.TRAIN]),
             lambda: rover_consensus([]),
             lambda: build_line("A").with_aggregate(
                 Transcription("x", TranscriptionSource(SourceKind.HUMAN))
@@ -354,8 +355,8 @@ class TestErrorKinds:
                 "unused",
             ),
         ],
-        ids=["threshold", "split-sizes", "split-map", "empty-texts", "aggregate-kind",
-             "row-break"],
+        ids=["threshold", "split-sizes", "split-map", "split-extra", "empty-texts",
+             "aggregate-kind", "row-break"],
     )
     def test_bad_argument_is_a_plain_value_error(self, step, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -57,6 +57,36 @@ class TestExitCodes:
         assert "--sizes" in err and "--mode random" in err
         assert not out.exists()
 
+    def test_seed_with_agreement_mode_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o.jsonl"
+        code = run("split", FIXTURE, "-o", out, "--mode", "agreement", "--seed", "7")
+        assert code == EXIT_USAGE
+        assert "--seed applies only to --mode random" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_level_with_rasa_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o.jsonl"
+        code = run("aggregate", FIXTURE, "-o", out, "--method", "rasa", "--level", "word")
+        assert code == EXIT_USAGE
+        assert "--level applies only to --method rover" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (("split", "--mode", "agreement"), "seed", None),
+            (("split", "--mode", "random"), "seed", 0),
+            (("aggregate", "--method", "rasa"), "level", None),
+            (("aggregate", "--method", "rover"), "level", "char"),
+        ],
+        ids=["agreement", "random-default", "rasa", "rover-default"],
+    )
+    def test_summary_reports_the_flag_in_effect(self, argv, key, value, tmp_path, capsys):
+        command, *flags = argv
+        assert run("--json", command, FIXTURE, "-o", tmp_path / "o.jsonl", *flags) == EXIT_OK
+        summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert summary[key] == value
+
     def test_bad_threads_env_is_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("AGGRESCRIBE_THREADS", "many")
         out = tmp_path / "o.jsonl"
