@@ -66,8 +66,6 @@ def _aggregate(line: TranscribedLine, kind: SourceKind) -> Transcription:
 def _select(line: TranscribedLine, strategy: Strategy, rng: SeededRng) -> list[Transcription]:
     humans = list(line.human_transcriptions)
     if strategy is Strategy.RANDOM_ONE:
-        if not humans:
-            raise ManifestError(f"line {line.line_id!r} has no human transcription")
         return [humans[rng.randbelow(len(humans))]]
     if strategy is Strategy.RASA_ONE:
         return [_aggregate(line, SourceKind.AGGREGATE_RASA)]
@@ -94,7 +92,7 @@ def emit(corpus: Corpus, strategy: Strategy, seed: int = 0) -> list[EmissionReco
     the same records.
 
     Raises:
-        ManifestError: if a line has no split, or lacks the human or aggregate
+        ManifestError: if a line has no split, or lacks the aggregate
             transcription the strategy needs.
     """
     rng = SeededRng(seed)
@@ -103,10 +101,7 @@ def emit(corpus: Corpus, strategy: Strategy, seed: int = 0) -> list[EmissionReco
         if line.split is None:
             raise ManifestError(f"line {line.line_id!r} has no split annotation")
         if line.split is Split.TEST:
-            humans = line.human_transcriptions
-            if not humans:
-                raise ManifestError(f"test line {line.line_id!r} has no human transcription")
-            chosen: Sequence[Transcription] = (humans[0],)
+            chosen: Sequence[Transcription] = line.human_transcriptions[:1]
         else:
             chosen = _select(line, strategy, rng)
         image, split = line.image_ref, line.split

@@ -549,13 +549,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 def run() -> None:
     """Entry of an ``aggrescribe`` process: exit with ``main()``'s code.
 
-    Nothing the command built is needed once it returns, so the heap is
-    frozen: the interpreter's exit then skips its cyclic collection over
-    everything still alive. ``sys.exit`` still runs atexit handlers and
-    flushes the standard streams."""
-    code = main()
-    gc.freeze()
-    sys.exit(code)
+    Nothing the process built is needed once ``main()`` returns or raises,
+    argparse's ``SystemExit`` for ``--help``, ``--version`` and usage errors
+    included, so the heap is frozen on every way out: the interpreter's exit
+    then skips its cyclic collection over everything still alive. Atexit
+    handlers still run and the standard streams are still flushed."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

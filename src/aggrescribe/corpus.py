@@ -152,7 +152,12 @@ class Transcription(Record):
 
 
 class TranscribedLine(Record):
-    """One text-line image with its set of candidate transcriptions."""
+    """One text-line image with its set of candidate transcriptions.
+
+    A line holds one or two human transcriptions, plus any automatic and
+    aggregate ones; the constructor raises ``ValueError`` otherwise, so no
+    step that takes a line checks for a missing human reading again.
+    """
 
     __slots__ = ("line_id", "image_ref", "transcriptions", "page_id", "split", "agreement")
 
@@ -168,8 +173,11 @@ class TranscribedLine(Record):
         transcriptions = tuple(transcriptions)
         if not line_id:
             raise ValueError("line_id must be non-empty")
-        if not transcriptions:
-            raise ValueError(f"line {line_id!r} has no transcriptions")
+        humans = [t.source.kind for t in transcriptions].count(SourceKind.HUMAN)
+        if humans != 1 and humans != 2:
+            raise ValueError(
+                f"line {line_id!r}: expected 1 or 2 human transcriptions, found {humans}"
+            )
         _set(self, "line_id", line_id)
         _set(self, "image_ref", image_ref)
         _set(self, "transcriptions", transcriptions)

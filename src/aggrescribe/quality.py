@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .corpus import Corpus, ManifestError, TranscribedLine, canonical_transcriptions
+from .corpus import Corpus, TranscribedLine, canonical_transcriptions
 from .metrics import sym_char_distance
 from .rover import Granularity, rover_consensus
 
@@ -23,8 +23,6 @@ def agreement_score(line: TranscribedLine) -> float:
     never influence the score.
     """
     texts = [t.text for t in canonical_transcriptions(line)]
-    if not texts:
-        raise ManifestError(f"line {line.line_id!r} has no votable transcriptions")
     consensus = rover_consensus(texts, Granularity.CHARACTER).text
     mean_distance = math.fsum(sym_char_distance(text, consensus) for text in texts) / len(texts)
     return 100.0 * (1.0 - mean_distance)

@@ -17,7 +17,6 @@ from collections.abc import Sequence
 
 from .metrics import sym_char_distance
 from .corpus import (
-    ManifestError,
     Record,
     SourceKind,
     TranscribedLine,
@@ -127,8 +126,6 @@ def selected_transcription(line: TranscribedLine) -> Transcription:
     """Pick among a line's human and automatic transcriptions, tagged as an
     aggregate source."""
     texts = [t.text for t in canonical_transcriptions(line)]
-    if not texts:
-        raise ManifestError(f"line {line.line_id!r} has no votable transcriptions")
     pick = rasa_select(texts)
     return Transcription(
         text=texts[pick.index], source=TranscriptionSource(SourceKind.AGGREGATE_RASA)

@@ -212,8 +212,6 @@ def consensus_transcription(
     """Consensus over a line's human and automatic transcriptions, tagged as
     an aggregate source."""
     texts = [t.text for t in canonical_transcriptions(line)]
-    if not texts:
-        raise ManifestError(f"line {line.line_id!r} has no votable transcriptions")
     text = rover_consensus(texts, level).text
     try:
         return Transcription(text=text, source=TranscriptionSource(SourceKind.AGGREGATE_ROVER))

@@ -56,15 +56,10 @@ def agreement_split(corpus: Corpus) -> list[Split]:
     Lines with a single human transcription train; with two, the symmetric
     character distance decides: 0 tests, (0, 0.05) validates, anything else
     (the 5% boundary included) trains.
-
-    Raises:
-        ManifestError: if a line has no human transcription.
     """
     splits = []
     for line in corpus.lines:
         humans = line.human_transcriptions
-        if not humans:
-            raise ManifestError(f"line {line.line_id!r} has no human transcription")
         split = Split.TRAIN
         if len(humans) == 2:
             distance = sym_char_distance(humans[0].text, humans[1].text)

@@ -15,15 +15,12 @@ from aggrescribe import (
     TranscribedLine,
     Transcription,
     TranscriptionSource,
-    agreement_score,
-    agreement_split,
     apply_split,
     consensus_transcription,
     emit,
     filter_by_agreement,
     random_split,
     rover_consensus,
-    selected_transcription,
     write_ground_truth,
 )
 from conftest import build_line
@@ -209,17 +206,15 @@ _images = st.sampled_from(["img/a.png", "img/b.png"]) | _field_text
 
 @st.composite
 def _emittable_corpora(draw):
-    """Lines of every shape ``emit`` meets: 0-2 human readings, 0-2
+    """Lines of every shape ``emit`` meets: 1-2 human readings, 0-2
     automatic ones, either aggregate or none, any split or none, and
     images that may share a name or break a row."""
     words = st.sampled_from(["un", "deux", "trois", "é è"])
     lines = []
     for i in range(draw(st.integers(min_value=0, max_value=5))):
-        humans = draw(st.lists(words, max_size=2))
+        humans = draw(st.lists(words, min_size=1, max_size=2))
         autos = draw(st.lists(words, max_size=2))
         rover, rasa = draw(st.none() | words), draw(st.none() | words)
-        if not humans and not autos and rover is None and rasa is None:
-            continue  # a line needs a transcription
         lines.append(
             build_line(
                 f"L{i}",
@@ -293,8 +288,6 @@ _EMPTY_CONSENSUS = TranscribedLine(
         ]
     ),
 )
-_NO_HUMAN = build_line("A", humans=(), autos=("x",))
-_ONLY_AGGREGATE = build_line("A", humans=(), rasa="x")
 
 
 class TestErrorKinds:
@@ -314,24 +307,12 @@ class TestErrorKinds:
              "line 'A' has no aggregate:rover transcription"),
             (lambda: emit(_one(build_line("A", split=Split.TRAIN)), Strategy.ALL_WITH_AGGREGATES),
              "line 'A' has no aggregate:rasa transcription"),
-            (lambda: emit(_one(_NO_HUMAN._replace(split=Split.TEST)), Strategy.ALL_HUMAN),
-             "test line 'A' has no human transcription"),
-            (lambda: emit(_one(_NO_HUMAN._replace(split=Split.TRAIN)), Strategy.RANDOM_ONE),
-             "line 'A' has no human transcription"),
-            (lambda: agreement_split(_one(_NO_HUMAN)), "line 'A' has no human transcription"),
-            (lambda: consensus_transcription(_ONLY_AGGREGATE),
-             "line 'A' has no votable transcriptions"),
-            (lambda: selected_transcription(_ONLY_AGGREGATE),
-             "line 'A' has no votable transcriptions"),
-            (lambda: agreement_score(_ONLY_AGGREGATE), "line 'A' has no votable transcriptions"),
             (lambda: consensus_transcription(_EMPTY_CONSENSUS, Granularity.WORD),
              "consensus for line 'A' is empty"),
         ],
         ids=[
             "filter-no-split", "filter-no-agreement", "emit-no-split", "emit-no-rover",
-            "emit-no-rasa", "emit-test-line-no-human", "emit-random-one-no-human",
-            "agreement-split-no-human", "rover-no-votable", "rasa-no-votable",
-            "agree-no-votable", "rover-empty-consensus",
+            "emit-no-rasa", "rover-empty-consensus",
         ],
     )
     def test_unusable_line_is_a_manifest_error(self, step, message):

@@ -542,16 +542,20 @@ def _piped_env() -> dict[str, str]:
 class TestProcessEntry:
     @_ENTRIES
     @pytest.mark.parametrize(
-        "argv, code, err",
+        "argv, code, out, err",
         [
-            (["validate", FIXTURE], EXIT_OK, ""),
-            (["frobnicate"], EXIT_USAGE, "invalid choice: 'frobnicate'"),
-            (["validate", "bad.jsonl"], EXIT_VALIDATION, "manifest error: bad.jsonl:1"),
-            (["stats", "missing.jsonl"], EXIT_IO, "i/o error:"),
+            (["validate", FIXTURE], EXIT_OK, f"ok: 50 lines ({FIXTURE})\n", ""),
+            (["--version"], EXIT_OK, "aggrescribe 0.1.0\n", ""),
+            (["--help"], EXIT_OK, "usage: aggrescribe ", ""),
+            (["frobnicate"], EXIT_USAGE, "", "invalid choice: 'frobnicate'"),
+            (["validate", "bad.jsonl"], EXIT_VALIDATION, "", "manifest error: bad.jsonl:1"),
+            (["stats", "missing.jsonl"], EXIT_IO, "", "i/o error:"),
         ],
-        ids=["ok", "usage", "validation", "io"],
+        ids=["ok", "version", "help", "usage", "validation", "io"],
     )
-    def test_exit_codes(self, tmp_path, entry, argv, code, err):
+    def test_exit_codes(self, tmp_path, entry, argv, code, out, err):
+        # ``out`` is the whole stdout when empty or ending in a newline, and
+        # its start otherwise.
         (tmp_path / "bad.jsonl").write_text('{"line_id": "A"}\n', encoding="utf-8")
         proc = subprocess.run(
             [sys.executable, *entry, *map(str, argv)],
@@ -562,6 +566,10 @@ class TestProcessEntry:
             timeout=60,
         )
         assert proc.returncode == code, proc.stderr
+        if not out or out.endswith("\n"):
+            assert proc.stdout == out
+        else:
+            assert proc.stdout.startswith(out) and proc.stdout.endswith("\n")
         assert err in proc.stderr and proc.stderr.endswith("\n" if err else "")
 
     @_ENTRIES
@@ -607,6 +615,39 @@ class TestProcessEntry:
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.splitlines() == [f"ok: 50 lines ({FIXTURE})", "atexit handler ran"]
+
+    @pytest.mark.parametrize(
+        "argv, code, out",
+        [
+            (["--version"], EXIT_OK, ["aggrescribe 0.1.0"]),
+            (["frobnicate"], EXIT_USAGE, []),
+            (["validate", str(FIXTURE)], EXIT_OK, [f"ok: 50 lines ({FIXTURE})"]),
+        ],
+        ids=["version", "usage", "command"],
+    )
+    def test_every_exit_freezes_the_heap_once(self, tmp_path, argv, code, out):
+        # argparse leaves through ``SystemExit`` before any command runs; the
+        # heap is frozen on that way out too, and atexit handlers still run.
+        code_text = (
+            "import atexit, gc, sys\n"
+            "freezes = []\n"
+            "freeze = gc.freeze\n"
+            "gc.freeze = lambda: (freezes.append(None), freeze())[1]\n"
+            "atexit.register(lambda: print('freezes:', len(freezes)))\n"
+            f"sys.argv[1:] = {argv!r}\n"
+            "from aggrescribe.cli import run\n"
+            "run()"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code_text],
+            cwd=tmp_path,
+            env=_piped_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.splitlines() == [*out, "freezes: 1"]
 
 
 class TestFileModes:

@@ -89,8 +89,27 @@ class TestDomainTypes:
             TranscriptionSource(SourceKind.AUTO_PYLAIA, annotator_id="u7")
 
     def test_line_requires_transcriptions(self):
-        with pytest.raises(ValueError):
-            TranscribedLine("L1", "img.png", ())
+        # One or two human readings, whatever else the line holds.
+        def line(*kinds):
+            texts = (Transcription("x", TranscriptionSource(kind)) for kind in kinds)
+            return TranscribedLine("L1", "img.png", tuple(texts))
+
+        human, pylaia, dan = SourceKind.HUMAN, SourceKind.AUTO_PYLAIA, SourceKind.AUTO_DAN
+        rover, rasa = SourceKind.AGGREGATE_ROVER, SourceKind.AGGREGATE_RASA
+        for kinds in [(), (pylaia, dan), (rover, rasa), (human, human, human)]:
+            with pytest.raises(ValueError) as excinfo:
+                line(*kinds)
+            assert not isinstance(excinfo.value, ManifestError)
+            found = kinds.count(human)
+            assert str(excinfo.value) == (
+                f"line 'L1': expected 1 or 2 human transcriptions, found {found}"
+            )
+        for kinds in [(human,), (human, human), (pylaia, human, dan, human, rover, rasa)]:
+            assert len(line(*kinds).human_transcriptions) == kinds.count(human)
+        updated = line(human).with_aggregate(
+            Transcription("y", TranscriptionSource(SourceKind.AGGREGATE_RASA))
+        )
+        assert [t.source.kind for t in updated.transcriptions] == [human, rasa]
 
     def test_corpus_rejects_duplicate_ids(self, make_line):
         with pytest.raises(ValueError, match="duplicate"):
@@ -637,14 +656,19 @@ _agreements = (
 )
 
 
+_NON_HUMAN_KINDS = [kind for kind in SourceKind if kind is not SourceKind.HUMAN]
+
+
 @st.composite
 def _any_corpora(draw):
     ids = draw(st.lists(st.text(min_size=1, max_size=6), max_size=4, unique=True))
     lines = []
     for line_id in ids:
+        # One or two human readings and up to two others, in any order.
+        kinds = [SourceKind.HUMAN] * draw(st.integers(min_value=1, max_value=2))
+        kinds += draw(st.lists(st.sampled_from(_NON_HUMAN_KINDS), max_size=2))
         transcriptions = []
-        for _ in range(draw(st.integers(min_value=1, max_value=4))):
-            kind = draw(st.sampled_from(list(SourceKind)))
+        for kind in draw(st.permutations(kinds)):
             annotator = draw(st.none() | _tricky_text) if kind is SourceKind.HUMAN else None
             text = draw(_tricky_text.filter(normalize_text))
             transcriptions.append(

@@ -174,7 +174,8 @@ class TestRecordSemantics:
 
 class TestDefaultsAndChecks:
     def test_defaults(self):
-        source = TranscriptionSource(SourceKind.AUTO_DAN)
+        assert TranscriptionSource(SourceKind.AUTO_DAN).annotator_id is None
+        source = TranscriptionSource(SourceKind.HUMAN)
         assert source.annotator_id is None
         assert Transcription("a", source).uncertain is False
         line = TranscribedLine("L1", "i.png", [Transcription("a", source)])
