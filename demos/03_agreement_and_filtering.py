@@ -14,7 +14,6 @@ from aggrescribe import (
     Transcription,
     TranscriptionSource,
     agreement_score,
-    annotate_agreement,
     filter_by_agreement,
 )
 
@@ -52,7 +51,7 @@ for entry in corpus:
 # The filter reads each line's split and score from the line itself, so
 # annotate the scores first. Retention shrinks monotonically with the
 # threshold and only train lines are ever dropped.
-corpus = annotate_agreement(corpus)
+corpus = Corpus(tuple(entry.with_agreement(agreement_score(entry)) for entry in corpus.lines))
 
 print("\nThreshold sweep (train lines retained):")
 for threshold in (0, 90, 97, 99):

@@ -9,6 +9,7 @@ import tempfile
 from pathlib import Path
 
 from aggrescribe import (
+    Corpus,
     Split,
     Strategy,
     agreement_split,
@@ -26,9 +27,12 @@ corpus = parse_manifest(manifest)
 print(f"Parsed {len(corpus)} lines from {manifest.name}")
 
 # Append the two aggregate transcriptions every retention strategy needs.
-corpus = corpus.map_lines(
-    lambda line: line.with_aggregate(consensus_transcription(line)).with_aggregate(
-        selected_transcription(line)
+corpus = Corpus(
+    tuple(
+        line.with_aggregate(consensus_transcription(line)).with_aggregate(
+            selected_transcription(line)
+        )
+        for line in corpus.lines
     )
 )
 

@@ -42,7 +42,6 @@ _HOMES = {
     "rasa_select": "rasa",
     "selected_transcription": "rasa",
     "agreement_score": "quality",
-    "annotate_agreement": "quality",
     "filter_by_agreement": "splits",
     "SeededRng": "splits",
     "agreement_split": "splits",

@@ -289,7 +289,7 @@ def cmd_aggregate(args: argparse.Namespace) -> dict:
     level = "char" if args.method == "rover" and args.level is None else args.level
     if args.method == "rover":
         _bind("Granularity", "consensus_transcription")
-        granularity = Granularity.CHARACTER if level == "char" else Granularity.WORD
+        granularity = Granularity(level)
         per_line = partial(consensus_transcription, level=granularity)
     else:
         _bind("selected_transcription")

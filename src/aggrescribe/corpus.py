@@ -228,9 +228,6 @@ class Corpus(Record):
     def __iter__(self) -> Iterator[TranscribedLine]:
         return iter(self.lines)
 
-    def map_lines(self, fn) -> "Corpus":
-        return Corpus(tuple(fn(line) for line in self.lines))
-
 
 def canonical_transcriptions(line: TranscribedLine) -> tuple[Transcription, ...]:
     """Transcriptions that participate in voting, in the canonical fold

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .corpus import Corpus, TranscribedLine, canonical_transcriptions
+from .corpus import TranscribedLine, canonical_transcriptions
 from .metrics import sym_char_distance
 from .rover import Granularity, rover_consensus
 
@@ -26,9 +26,3 @@ def agreement_score(line: TranscribedLine) -> float:
     consensus = rover_consensus(texts, Granularity.CHARACTER).text
     mean_distance = math.fsum(sym_char_distance(text, consensus) for text in texts) / len(texts)
     return 100.0 * (1.0 - mean_distance)
-
-
-def annotate_agreement(corpus: Corpus) -> Corpus:
-    """Attach each line's agreement score to the line."""
-    return corpus.map_lines(lambda line: line.with_agreement(agreement_score(line)))
-

@@ -12,14 +12,12 @@ skip or a new slot is introduced only when a length difference forces one.
 Equal-length inputs therefore always align position by position, which keeps
 character-level voting an honest per-position majority.
 
-The same order makes a banded DP exact (Ukkonen 1985). Aligning ``m`` slots
-with ``n`` tokens takes at least ``|m - n|`` indels, and some path takes
-exactly that many, so every optimal path does, all of one kind; its diagonal
-``j - i`` then moves monotonically from 0 to ``n - m``. The merge fills only
-those ``|m - n| + 1`` diagonals, and each cell there holds the full table's
-value, because the optimal paths into it stay on the band as well. When the
-lengths are equal the band is the main diagonal alone, so the merge joins
-slot and token position by position and fills no table.
+Every optimal alignment of ``m`` slots with ``n`` tokens therefore leaves
+exactly ``gaps = |m - n|`` items of the longer side unmatched, all of one
+kind: new slots when the sequence is longer, skipped slots when the spine is.
+Leaving an item of the shorter side unmatched too would take two more indels.
+So the merge needs two moves, a join or a gap, and counts substitutions
+alone; equal lengths leave no gap and fill no table.
 
 Voting picks the highest-multiplicity entry of each slot. The null marker is
 eligible and wins only on strict plurality; among tied tokens the
@@ -90,61 +88,60 @@ def _merge(slots: list[dict], merged: int, seq: Sequence[str]) -> list[dict]:
     """Align one new token sequence against the slot spine and fold it in.
 
     The spine belongs to ``build_lattice``, so joined and skipped slots are
-    counted up in place and reused in the returned spine. Equal lengths
-    join position by position: the band is then the main diagonal alone.
+    counted up in place and reused in the returned spine.
 
-    Otherwise costs are encoded as ``indels * base + substitutions`` with
-    ``base`` larger than any possible substitution count, which orders paths
-    by (indels, substitutions) lexicographically. Only the diagonals
-    ``j - i`` in ``[min(0, n - m), max(0, n - m)]`` are filled; see the module
-    docstring for why that is exact.
+    ``cost[r][k]`` is the fewest substitutions over ``r`` joins and ``k``
+    gaps (see the module docstring). It ends at slot ``i`` and token ``j``,
+    ``(i, j) = (r, r + k)`` when the sequence is longer, else ``(r + k, r)``.
     """
     m, n = len(slots), len(seq)
     if m == n:
         for slot, token in zip(slots, seq):
             slot[token] = slot.get(token, 0) + 1
         return slots
-    base = min(m, n) + 1
-    indel = base
-    lo, hi = min(0, n - m), max(0, n - m)
-    # Off-band cells hold a cost above any path's, so neither the fill nor
-    # the traceback ever picks one.
-    unreachable = (m + n + 1) * indel
-    cost = [[unreachable] * (n + 1) for _ in range(m + 1)]
-    for j in range(hi + 1):
-        cost[0][j] = j * indel
-    for i in range(1, m + 1):
-        row, prev = cost[i], cost[i - 1]
-        slot = slots[i - 1]
-        if i + lo <= 0:
-            row[0] = i * indel
-        for j in range(max(1, i + lo), min(n, i + hi) + 1):
-            row[j] = min(
-                prev[j - 1] + (seq[j - 1] not in slot),
-                prev[j] + indel,
-                row[j - 1] + indel,
-            )
-
-    # Traceback, preferring joins over slot skips over new slots. Each old
-    # slot is visited once, after its last membership test.
-    out: list[dict] = []
-    i, j = m, n
-    while i > 0 or j > 0:
-        d = cost[i][j]
-        if i > 0 and j > 0 and cost[i - 1][j - 1] + (seq[j - 1] not in slots[i - 1]) == d:
-            slot = slots[i - 1]
-            token = seq[j - 1]
-            slot[token] = slot.get(token, 0) + 1
-            out.append(slot)
-            i, j = i - 1, j - 1
-        elif i > 0 and cost[i - 1][j] + indel == d:
-            slot = slots[i - 1]
-            slot[NULL] = slot.get(NULL, 0) + 1
-            out.append(slot)
-            i -= 1
+    grow = n > m
+    gaps = abs(n - m)
+    cost = [[0] * (gaps + 1)]
+    for r in range(1, min(m, n) + 1):
+        # A cell is the better of a join from the row above and a gap from
+        # the cell to its left; ``left`` starts at r, which no cell exceeds.
+        row = []
+        left = r
+        if grow:
+            slot = slots[r - 1]
+            for up, token in zip(cost[-1], seq[r - 1 : r + gaps]):
+                join = up + (token not in slot)
+                if join < left:
+                    left = join
+                row.append(left)
         else:
+            token = seq[r - 1]
+            for up, slot in zip(cost[-1], slots[r - 1 : r + gaps]):
+                join = up + (token not in slot)
+                if join < left:
+                    left = join
+                row.append(left)
+        cost.append(row)
+
+    # Traceback, preferring joins over gaps. Each old slot is visited once,
+    # after its last membership test.
+    out: list[dict] = []
+    r, k = min(m, n), gaps
+    while r or k:
+        i, j = (r, r + k) if grow else (r + k, r)
+        if r and cost[r - 1][k] + (seq[j - 1] not in slots[i - 1]) == cost[r][k]:
+            token = seq[j - 1]
+            r -= 1
+        elif grow:
             out.append({seq[j - 1]: 1, NULL: merged})
-            j -= 1
+            k -= 1
+            continue
+        else:
+            token = NULL
+            k -= 1
+        slot = slots[i - 1]
+        slot[token] = slot.get(token, 0) + 1
+        out.append(slot)
     out.reverse()
     return out
 

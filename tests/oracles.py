@@ -125,7 +125,8 @@ def numpy_rasa_select(texts) -> tuple[RasaSelection, list[float]]:
 
 
 def full_table_merge(slots: list[Counter], merged: int, seq: Sequence[str]) -> list[Counter]:
-    """``rover._merge`` before banding: fills the whole cost table.
+    """The full-table reference that ``rover._merge``, which aligns in gap
+    coordinates, must match slot for slot.
 
     Costs are encoded as ``indels * base + substitutions`` with ``base``
     larger than any possible substitution count, which orders paths by

@@ -27,7 +27,6 @@ from aggrescribe import (
     Strategy,
     agreement_score,
     agreement_split,
-    annotate_agreement,
     apply_split,
     corpus_stats,
     emit,
@@ -103,7 +102,8 @@ def test_criterion_2_agreement_split(belfort):
 @needs_belfort
 def test_criterion_3_filter_retention(belfort):
     started = time.perf_counter()
-    annotated = annotate_agreement(apply_split(belfort, agreement_split(belfort)))
+    split = apply_split(belfort, agreement_split(belfort))
+    annotated = Corpus(tuple(line.with_agreement(agreement_score(line)) for line in split.lines))
     train_total = split_counts(line.split for line in annotated)[Split.TRAIN]
     expected = {90.0: 75.7, 97.0: 50.3, 99.0: 29.3}
     shares = {}
@@ -129,9 +129,13 @@ def test_criterion_4_emit_all(belfort, tmp_path):
     from aggrescribe.rasa import selected_transcription
     from aggrescribe.rover import consensus_transcription
 
-    augmented = apply_split(belfort, agreement_split(belfort)).map_lines(
-        lambda line: line.with_aggregate(consensus_transcription(line)).with_aggregate(
-            selected_transcription(line)
+    split = apply_split(belfort, agreement_split(belfort))
+    augmented = Corpus(
+        tuple(
+            line.with_aggregate(consensus_transcription(line)).with_aggregate(
+                selected_transcription(line)
+            )
+            for line in split.lines
         )
     )
     records = emit(augmented, Strategy.ALL_WITH_AGGREGATES)

@@ -8,7 +8,6 @@ from aggrescribe import (
     Corpus,
     Split,
     agreement_score,
-    annotate_agreement,
     filter_by_agreement,
 )
 from conftest import build_line
@@ -52,10 +51,18 @@ class TestAgreementScore:
         else:
             assert score < 100.0
 
-    def test_annotate_agreement(self, make_corpus, make_line):
-        corpus = make_corpus(make_line("A", humans=("x y", "x y")))
-        annotated = annotate_agreement(corpus)
-        assert annotated.lines[0].agreement == 100.0
+    def test_scores_attach_line_by_line(self, make_corpus, make_line):
+        corpus = make_corpus(
+            make_line("A", humans=("x y", "x y")), make_line("B", humans=("cat", "cot"))
+        )
+        annotated = Corpus(
+            tuple(line.with_agreement(agreement_score(line)) for line in corpus.lines)
+        )
+        assert [line.line_id for line in annotated] == ["A", "B"]
+        assert [line.agreement for line in annotated] == [
+            100.0,
+            pytest.approx(100 * (1 - 1 / 6)),
+        ]
 
 
 class TestFilter:

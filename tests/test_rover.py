@@ -4,7 +4,7 @@ from collections import Counter
 from itertools import chain
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from aggrescribe import SourceKind, Granularity, build_lattice, rover_consensus, tokenize, vote
@@ -27,6 +27,25 @@ def equal_length_texts(draw):
             max_size=5,
         )
     )
+
+
+@st.composite
+def gapped_folds(draw):
+    """A base text, then readings of it made 1 to 8 characters longer or
+    shorter; the alphabet "a" gives runs of one repeated token."""
+    alphabet = draw(st.sampled_from(["a", "ab", "abc "]))
+    base = draw(st.text(alphabet=alphabet, min_size=8, max_size=16))
+    readings = [base]
+    for _ in range(draw(st.integers(1, 4))):
+        chars = list(base)
+        longer = draw(st.booleans())
+        for _ in range(draw(st.integers(1, 8))):
+            if longer:
+                chars.insert(draw(st.integers(0, len(chars))), draw(st.sampled_from(alphabet)))
+            else:
+                del chars[draw(st.integers(0, len(chars) - 1))]
+        readings.append("".join(chars))
+    return readings
 
 
 class TestTokenize:
@@ -92,10 +111,16 @@ class TestBuildLattice:
 
 
     @given(
-        st.lists(st.text(alphabet="ab c", max_size=30), min_size=1, max_size=5),
-        st.sampled_from([CHAR, WORD]),
+        st.tuples(
+            st.lists(st.text(alphabet="ab c", max_size=30), min_size=1, max_size=5),
+            st.sampled_from([CHAR, WORD]),
+        )
+        | st.tuples(gapped_folds(), st.just(CHAR))
     )
-    def test_matches_full_table_merge(self, inputs, level):
+    @example((["aaaa", "aaaaaaa"], CHAR))
+    @example((["aaaaaaa", "aaaa"], CHAR))
+    def test_matches_full_table_merge(self, case):
+        inputs, level = case
         sequences = [tokenize(t, level) for t in inputs]
         expected = full_table_lattice(sequences)
         lattice = build_lattice(sequences)
