@@ -365,8 +365,7 @@ def cmd_split(args: argparse.Namespace) -> dict:
         if sizes is None:
             # The paper-shaped default: a random split with the same
             # cardinalities the agreement rule would produce.
-            counts = split_counts(agreement_split(corpus))
-            sizes = (counts[Split.TRAIN], counts[Split.VALIDATION], counts[Split.TEST])
+            sizes = tuple(split_counts(agreement_split(corpus)).values())
         if sum(sizes) != len(corpus):
             raise UsageError(
                 f"--sizes {sizes} sum to {sum(sizes)}, but the manifest has "
@@ -383,11 +382,7 @@ def cmd_split(args: argparse.Namespace) -> dict:
         "command": "split",
         "mode": args.mode,
         "seed": seed,
-        "counts": {
-            "train": counts[Split.TRAIN],
-            "val": counts[Split.VALIDATION],
-            "test": counts[Split.TEST],
-        },
+        "counts": {split.value: n for split, n in counts.items()},
         "output": str(args.output),
         "timings": clock.timings(len(corpus)),
     }
@@ -434,12 +429,7 @@ def cmd_emit(args: argparse.Namespace) -> dict:
     clock.lap("parse_s")
     strategy = Strategy(args.strategy)
     records = emit(corpus, strategy, seed=args.seed)
-    by_split = split_counts(r.split for r in records)
-    counts = {
-        "train": by_split[Split.TRAIN],
-        "val": by_split[Split.VALIDATION],
-        "test": by_split[Split.TEST],
-    }
+    counts = {split.value: n for split, n in split_counts(r.split for r in records).items()}
     clock.lap("compute_s")
     write_ground_truth(records, args.out)
     summary = {"strategy": strategy.value, "seed": args.seed, "counts": counts}

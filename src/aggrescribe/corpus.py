@@ -175,9 +175,7 @@ class TranscribedLine(Record):
             raise ValueError("line_id must be non-empty")
         humans = [t.source.kind for t in transcriptions].count(SourceKind.HUMAN)
         if humans != 1 and humans != 2:
-            raise ValueError(
-                f"line {line_id!r}: expected 1 or 2 human transcriptions, found {humans}"
-            )
+            raise ValueError(f"expected 1 or 2 human transcriptions, found {humans}")
         _set(self, "line_id", line_id)
         _set(self, "image_ref", image_ref)
         _set(self, "transcriptions", transcriptions)
@@ -242,19 +240,15 @@ def canonical_transcriptions(line: TranscribedLine) -> tuple[Transcription, ...]
 #: alone is blank and skipped; other Unicode whitespace makes it malformed.
 _JSON_WHITESPACE = " \t\r\n"
 
-_HUMAN = SourceKind.HUMAN
-_new = object.__new__
-
 
 def _parse_line(record: object, sources: dict) -> TranscribedLine:
-    """Check one decoded manifest record and build its line.
+    """Check one decoded manifest record's JSON types and build its line
+    through the records' constructors.
 
-    Raises ``ManifestError`` with the bare reason; ``parse_manifest`` adds
-    the ``file:line (line_id ...)`` context. The records are built past
-    their constructors, from fields already checked here against every
-    condition those constructors check, so each text is normalized once.
-    ``sources`` holds one shared, checked ``TranscriptionSource`` per
-    ``(tag, annotator)`` pair met so far in the file.
+    Raises ``ManifestError`` with the bare reason, a constructor's
+    ``ValueError`` included; ``parse_manifest`` adds the ``file:line
+    (line_id ...)`` context. ``sources`` holds one shared
+    ``TranscriptionSource`` per ``(tag, annotator)`` pair met so far.
     """
     if not isinstance(record, dict):
         raise ManifestError("record must be a JSON object")
@@ -294,7 +288,6 @@ def _parse_line(record: object, sources: dict) -> TranscribedLine:
     if not isinstance(entries, list) or not entries:
         raise ManifestError("'transcriptions' must be a non-empty list")
     transcriptions = []
-    humans = 0
     for entry in entries:
         if not isinstance(entry, dict):
             raise ManifestError("transcription entry must be an object")
@@ -316,30 +309,16 @@ def _parse_line(record: object, sources: dict) -> TranscribedLine:
         uncertain = entry.get("uncertain", False)
         if not isinstance(uncertain, bool):
             raise ManifestError("'uncertain' must be a boolean")
-        if source is None:
-            try:
+        try:
+            if source is None:
                 source = sources[tag, annotator] = TranscriptionSource(kind, annotator)
-            except ValueError as exc:
-                raise ManifestError(str(exc)) from None
-        cleaned = normalize_text(text)
-        if not cleaned:
-            raise ManifestError("transcription text is empty after normalization")
-        t = _new(Transcription)
-        _set(t, "text", cleaned)
-        _set(t, "source", source)
-        _set(t, "uncertain", uncertain)
-        transcriptions.append(t)
-        humans += source.kind is _HUMAN
-    if humans != 1 and humans != 2:
-        raise ManifestError(f"expected 1 or 2 human transcriptions, found {humans}")
-    line = _new(TranscribedLine)
-    _set(line, "line_id", line_id)
-    _set(line, "image_ref", image)
-    _set(line, "transcriptions", tuple(transcriptions))
-    _set(line, "page_id", page_id)
-    _set(line, "split", split)
-    _set(line, "agreement", agreement)
-    return line
+            transcriptions.append(Transcription(text, source, uncertain))
+        except ValueError as exc:
+            raise ManifestError(str(exc)) from None
+    try:
+        return TranscribedLine(line_id, image, transcriptions, page_id, split, agreement)
+    except ValueError as exc:
+        raise ManifestError(str(exc)) from None
 
 
 def _require_utf8(line: TranscribedLine, context: str) -> None:
@@ -360,13 +339,12 @@ def _require_utf8(line: TranscribedLine, context: str) -> None:
 def parse_manifest(path: str | Path) -> Corpus:
     """Read a newline-delimited JSON manifest, preserving record order.
 
-    Each line is checked once, in one loop: it must be UTF-8 and hold one
-    JSON object (a line of JSON whitespace alone is skipped) whose fields
-    follow the schema in this module's docstring, with a ``line_id`` no
-    earlier line used, one or two human transcriptions, an ``agreement``
-    that is a finite number in [0, 100], an ``image`` that fits a TSV field
-    and no unpaired surrogate in any string the corpus keeps. Texts are
-    normalized as ``Transcription`` normalizes them, and one
+    Each line must be UTF-8 and hold one JSON object (a line of JSON
+    whitespace alone is skipped) whose fields follow the schema in this
+    module's docstring, with a ``line_id`` no earlier line used, an
+    ``agreement`` that is a finite number in [0, 100], an ``image`` that
+    fits a TSV field and no unpaired surrogate in any string the corpus
+    keeps; the records' constructors check the rest. One
     ``TranscriptionSource`` is shared per ``(source, annotator)`` pair.
 
     Raises:
@@ -410,9 +388,7 @@ def parse_manifest(path: str | Path) -> Corpus:
                 raise ManifestError(f"{path.name}:{lineno}: duplicate line_id {line.line_id!r}")
             seen.add(line.line_id)
             lines.append(line)
-    corpus = _new(Corpus)
-    _set(corpus, "lines", tuple(lines))  # line_ids already checked distinct
-    return corpus
+    return Corpus(tuple(lines))
 
 
 #: Numbers this process's temp files, so that a name is unique per process.

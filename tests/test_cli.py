@@ -169,6 +169,16 @@ class TestJsonSummary:
             assert timings["parse_s"] > 0 and timings["lines_per_s"] > 0
             if argv[0] not in ("validate", "stats"):
                 assert timings["write_s"] > 0
+            if argv[0] in ("split", "emit"):
+                counts = summary["counts"]
+                assert list(counts) == ["train", "val", "test"]
+                if argv[0] == "split":  # every line of the input manifest
+                    outputs = [argv[1]]
+                else:  # every row of the three TSVs
+                    outputs = [f"gt/{name}.tsv" for name in counts]
+                    assert json.loads(plain_files["gt/summary.json"])["counts"] == counts
+                rows = sum(plain_files[name].count(b"\n") for name in outputs)
+                assert rows > 0 and sum(counts.values()) == rows
 
 
 class TestCollector:

@@ -102,7 +102,7 @@ class TestDomainTypes:
             assert not isinstance(excinfo.value, ManifestError)
             found = kinds.count(human)
             assert str(excinfo.value) == (
-                f"line 'L1': expected 1 or 2 human transcriptions, found {found}"
+                f"expected 1 or 2 human transcriptions, found {found}"
             )
         for kinds in [(human,), (human, human), (pylaia, human, dan, human, rover, rasa)]:
             assert len(line(*kinds).human_transcriptions) == kinds.count(human)
