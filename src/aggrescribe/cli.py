@@ -2,16 +2,18 @@
 
 Every subcommand reads a manifest, writes outputs atomically, prints a
 human-readable summary table to stdout and, with ``--json``, a
-machine-readable summary to stderr, whose ``timings`` give the seconds spent
-parsing, computing and writing and the input lines per second over the three.
-Exit codes: 1 usage error, 2 a manifest that fails validation or holds a line
-the step cannot use, 3 I/O failure. Any other exception is a bug and
-propagates.
+machine-readable summary to stderr: ``command``, the command's own fields,
+``output`` for the commands that write a manifest, and last ``timings``, the
+seconds spent parsing, computing and writing and the input lines per second
+over the three. Exit codes: 1 usage error, 2 a manifest that fails validation
+or holds a line the step cannot use, 3 I/O failure. Any other exception is a
+bug and propagates.
 
 Set ``AGGRESCRIBE_THREADS`` to spread the per-line work of ``aggregate`` and
 ``agree`` over up to that many forked worker processes, at most one per CPU and
 per line. Where the platform has no ``fork``, the work runs inline. The output
-bytes are identical either way.
+bytes are identical either way. A value that is not an integer is a usage
+error, reported before the manifest is read.
 """
 
 from __future__ import annotations
@@ -181,13 +183,23 @@ def _child(fn: Callable, chunk: Sequence, write_end: int) -> None:
         os._exit(status)
 
 
-class _Stopwatch:
-    """Splits a command's run into parse, compute and write seconds for its
-    ``--json`` summary; they never enter an output file."""
+class _Stage:
+    """A command's frame: it parses ``args.manifest`` into ``corpus``, writes
+    ``args.output`` and splits the run into parse, compute and write seconds
+    for the ``--json`` summary; they never enter an output file.
 
-    def __init__(self) -> None:
+    ``parse_manifest`` and ``write_manifest`` are looked up as this module's
+    attributes at each call, so a patch or a tracer on them sees every
+    command's parse and write.
+    """
+
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.args = args
         self.laps = {"parse_s": 0.0, "compute_s": 0.0, "write_s": 0.0}
+        self.wrote = False
         self._last = time.perf_counter()
+        self.corpus = parse_manifest(args.manifest)
+        self.lap("parse_s")
 
     def lap(self, name: str) -> None:
         """Record the time since the previous lap, or the start, as ``name``."""
@@ -195,9 +207,23 @@ class _Stopwatch:
         self.laps[name] = now - self._last
         self._last = now
 
-    def timings(self, lines: int) -> dict:
+    def write(self, corpus: Corpus) -> None:
+        """End the compute lap and write ``corpus`` to ``args.output``."""
+        self.lap("compute_s")
+        write_manifest(corpus, self.args.output)
+        self.lap("write_s")
+        self.wrote = True
+
+    def summary(self, **fields) -> dict:
+        """The command's summary: its name, ``fields``, the output manifest
+        if one was written, and the timings over the input lines."""
+        summary = {"command": self.args.command, **fields}
+        if self.wrote:
+            summary["output"] = str(self.args.output)
         total = sum(self.laps.values())
-        return {**self.laps, "lines_per_s": lines / total if total else 0.0}
+        lines_per_s = len(self.corpus) / total if total else 0.0
+        summary["timings"] = {**self.laps, "lines_per_s": lines_per_s}
+        return summary
 
 
 def _sizes(text: str) -> tuple[int, int, int]:
@@ -241,24 +267,15 @@ def _split_table(counts: dict[Split, int]) -> list[tuple[str, str]]:
 
 
 def cmd_validate(args: argparse.Namespace) -> dict:
-    clock = _Stopwatch()
-    corpus = parse_manifest(args.manifest)
-    clock.lap("parse_s")
-    print(f"ok: {len(corpus)} lines ({args.manifest})")
-    return {
-        "command": "validate",
-        "manifest": str(args.manifest),
-        "lines": len(corpus),
-        "timings": clock.timings(len(corpus)),
-    }
+    stage = _Stage(args)
+    print(f"ok: {len(stage.corpus)} lines ({args.manifest})")
+    return stage.summary(manifest=str(args.manifest), lines=len(stage.corpus))
 
 
 def cmd_stats(args: argparse.Namespace) -> dict:
-    clock = _Stopwatch()
-    corpus = parse_manifest(args.manifest)
-    clock.lap("parse_s")
-    report = corpus_stats(corpus)
-    clock.lap("compute_s")
+    stage = _Stage(args)
+    report = corpus_stats(stage.corpus)
+    stage.lap("compute_s")
     rows = [
         ("Lines", f"{report.total_lines}"),
         (
@@ -272,63 +289,41 @@ def cmd_stats(args: argparse.Namespace) -> dict:
     for size, count in report.transcriptions_per_line.items():
         rows.append((f"Lines with {size} transcriptions", f"{count}"))
     _print_table(rows)
-    return {
-        "command": "stats",
-        "lines": report.total_lines,
-        "two_human_lines": report.two_human_lines,
-        "two_human_share": report.two_human_share,
-        "per_source": report.per_source,
-        "transcriptions_per_line": {str(k): v for k, v in report.transcriptions_per_line.items()},
-        "timings": clock.timings(report.total_lines),
-    }
+    return stage.summary(
+        lines=report.total_lines,
+        two_human_lines=report.two_human_lines,
+        two_human_share=report.two_human_share,
+        per_source=report.per_source,
+        transcriptions_per_line={str(k): v for k, v in report.transcriptions_per_line.items()},
+    )
 
 
 def cmd_aggregate(args: argparse.Namespace) -> dict:
     if args.method == "rasa" and args.level is not None:
         raise UsageError("--level applies only to --method rover")
     level = "char" if args.method == "rover" and args.level is None else args.level
+    threads = _thread_cap()
     if args.method == "rover":
         _bind("Granularity", "consensus_transcription")
-        granularity = Granularity(level)
-        per_line = partial(consensus_transcription, level=granularity)
+        per_line = partial(consensus_transcription, level=Granularity(level))
     else:
         _bind("selected_transcription")
         per_line = selected_transcription
-    clock = _Stopwatch()
-    corpus = parse_manifest(args.manifest)
-    clock.lap("parse_s")
-    threads = _thread_cap()
-    aggregates = _map_lines(per_line, corpus.lines, threads)
-    updated = Corpus(
-        tuple(line.with_aggregate(t) for line, t in zip(corpus.lines, aggregates))
-    )
-    clock.lap("compute_s")
-    write_manifest(updated, args.output)
-    clock.lap("write_s")
-    print(f"aggregated {len(updated)} lines with {args.method} -> {args.output}")
-    return {
-        "command": "aggregate",
-        "method": args.method,
-        "level": level,
-        "lines": len(updated),
-        "output": str(args.output),
-        "timings": clock.timings(len(corpus)),
-    }
+    stage = _Stage(args)
+    lines = stage.corpus.lines
+    aggregates = _map_lines(per_line, lines, threads)
+    stage.write(Corpus(tuple(line.with_aggregate(t) for line, t in zip(lines, aggregates))))
+    print(f"aggregated {len(lines)} lines with {args.method} -> {args.output}")
+    return stage.summary(method=args.method, level=level, lines=len(lines))
 
 
 def cmd_agree(args: argparse.Namespace) -> dict:
-    _bind("agreement_score")
-    clock = _Stopwatch()
-    corpus = parse_manifest(args.manifest)
-    clock.lap("parse_s")
     threads = _thread_cap()
-    scores = _map_lines(agreement_score, corpus.lines, threads)
-    updated = Corpus(
-        tuple(line.with_agreement(score) for line, score in zip(corpus.lines, scores))
-    )
-    clock.lap("compute_s")
-    write_manifest(updated, args.output)
-    clock.lap("write_s")
+    _bind("agreement_score")
+    stage = _Stage(args)
+    lines = stage.corpus.lines
+    scores = _map_lines(agreement_score, lines, threads)
+    stage.write(Corpus(tuple(line.with_agreement(s) for line, s in zip(lines, scores))))
     mean = sum(scores) / len(scores) if scores else 0.0
     unanimous = sum(1 for s in scores if s == 100.0)
     _print_table(
@@ -338,14 +333,7 @@ def cmd_agree(args: argparse.Namespace) -> dict:
             ("Lines at 100", f"{unanimous}"),
         ]
     )
-    return {
-        "command": "agree",
-        "lines": len(scores),
-        "mean_agreement": mean,
-        "lines_at_100": unanimous,
-        "output": str(args.output),
-        "timings": clock.timings(len(corpus)),
-    }
+    return stage.summary(lines=len(scores), mean_agreement=mean, lines_at_100=unanimous)
 
 
 def cmd_split(args: argparse.Namespace) -> dict:
@@ -355,9 +343,8 @@ def cmd_split(args: argparse.Namespace) -> dict:
                 raise UsageError(f"{flag} applies only to --mode random")
     seed = 0 if args.mode == "random" and args.seed is None else args.seed
     _bind("agreement_split", "apply_split", "random_split", "split_counts")
-    clock = _Stopwatch()
-    corpus = parse_manifest(args.manifest)
-    clock.lap("parse_s")
+    stage = _Stage(args)
+    corpus = stage.corpus
     if args.mode == "agreement":
         splits = agreement_split(corpus)
     else:
@@ -372,33 +359,20 @@ def cmd_split(args: argparse.Namespace) -> dict:
                 f"{len(corpus)} lines"
             )
         splits = random_split(corpus, sizes, seed)
-    updated = apply_split(corpus, splits)
-    clock.lap("compute_s")
-    write_manifest(updated, args.output)
-    clock.lap("write_s")
+    stage.write(apply_split(corpus, splits))
     counts = split_counts(splits)
     _print_table(_split_table(counts))
-    return {
-        "command": "split",
-        "mode": args.mode,
-        "seed": seed,
-        "counts": {split.value: n for split, n in counts.items()},
-        "output": str(args.output),
-        "timings": clock.timings(len(corpus)),
-    }
+    return stage.summary(
+        mode=args.mode, seed=seed, counts={split.value: n for split, n in counts.items()}
+    )
 
 
 def cmd_filter(args: argparse.Namespace) -> dict:
     _bind("filter_by_agreement", "split_counts")
-    clock = _Stopwatch()
-    corpus = parse_manifest(args.manifest)
-    clock.lap("parse_s")
-    filtered = filter_by_agreement(corpus, args.min_agreement)
-    clock.lap("compute_s")
-    write_manifest(filtered, args.output)
-    clock.lap("write_s")
-
-    before = split_counts(line.split for line in corpus.lines)
+    stage = _Stage(args)
+    filtered = filter_by_agreement(stage.corpus, args.min_agreement)
+    stage.write(filtered)
+    before = split_counts(line.split for line in stage.corpus.lines)
     after = split_counts(line.split for line in filtered.lines)
     retained = after[Split.TRAIN]
     total = before[Split.TRAIN]
@@ -411,30 +385,25 @@ def cmd_filter(args: argparse.Namespace) -> dict:
             ("Test samples", f"{after[Split.TEST]}"),
         ]
     )
-    return {
-        "command": "filter",
-        "threshold": args.min_agreement,
-        "train_before": total,
-        "train_after": retained,
-        "train_retained_pct": share,
-        "output": str(args.output),
-        "timings": clock.timings(len(corpus)),
-    }
+    return stage.summary(
+        threshold=args.min_agreement,
+        train_before=total,
+        train_after=retained,
+        train_retained_pct=share,
+    )
 
 
 def cmd_emit(args: argparse.Namespace) -> dict:
     _bind("Strategy", "emit", "write_ground_truth", "split_counts")
-    clock = _Stopwatch()
-    corpus = parse_manifest(args.manifest)
-    clock.lap("parse_s")
+    stage = _Stage(args)
     strategy = Strategy(args.strategy)
-    records = emit(corpus, strategy, seed=args.seed)
+    records = emit(stage.corpus, strategy, seed=args.seed)
     counts = {split.value: n for split, n in split_counts(r.split for r in records).items()}
-    clock.lap("compute_s")
+    stage.lap("compute_s")
     write_ground_truth(records, args.out)
     summary = {"strategy": strategy.value, "seed": args.seed, "counts": counts}
     atomic_write_text(Path(args.out) / "summary.json", json.dumps(summary) + "\n")
-    clock.lap("write_s")
+    stage.lap("write_s")
     _print_table(
         [
             ("Strategy", strategy.value),
@@ -443,12 +412,7 @@ def cmd_emit(args: argparse.Namespace) -> dict:
             ("Test records", f"{counts['test']}"),
         ]
     )
-    return {
-        "command": "emit",
-        "out": str(args.out),
-        **summary,
-        "timings": clock.timings(len(corpus)),
-    }
+    return stage.summary(out=str(args.out), **summary)
 
 
 def build_parser() -> _Parser:

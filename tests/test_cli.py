@@ -88,11 +88,19 @@ class TestExitCodes:
         assert summary[key] == value
 
     def test_bad_threads_env_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # Reported before the manifest is read, so a malformed one does not
+        # turn the usage error into a manifest error.
         monkeypatch.setenv("AGGRESCRIBE_THREADS", "many")
+        malformed = tmp_path / "bad.jsonl"
+        malformed.write_text('{"line_id": "A"}\n', encoding="utf-8")
         out = tmp_path / "o.jsonl"
-        code = run("agree", FIXTURE, "-o", out)
-        assert code == EXIT_USAGE
-        assert not out.exists()
+        for manifest in (FIXTURE, malformed):
+            for command, *flags in (("agree",), ("aggregate", "--method", "rover")):
+                code = run(command, manifest, "-o", out, *flags)
+                assert code == EXIT_USAGE, (command, manifest)
+                err = capsys.readouterr().err
+                assert "AGGRESCRIBE_THREADS must be an integer" in err
+                assert not out.exists()
 
 
 class TestValidateAndStats:
@@ -149,6 +157,27 @@ def _run_chain(directory, capsys, monkeypatch, *flags):
     return outs, errs, files
 
 
+# Each command's ``--json`` summary keys, in order.
+_SUMMARY_KEYS = {
+    "validate": ["command", "manifest", "lines", "timings"],
+    "stats": [
+        "command", "lines", "two_human_lines", "two_human_share", "per_source",
+        "transcriptions_per_line", "timings",
+    ],
+    "aggregate": ["command", "method", "level", "lines", "output", "timings"],
+    "agree": ["command", "lines", "mean_agreement", "lines_at_100", "output", "timings"],
+    "split": ["command", "mode", "seed", "counts", "output", "timings"],
+    "filter": [
+        "command", "threshold", "train_before", "train_after", "train_retained_pct",
+        "output", "timings",
+    ],
+    "emit": ["command", "out", "strategy", "seed", "counts", "timings"],
+}
+
+# The commands that write a manifest to ``-o``.
+_WRITERS = ("aggregate", "agree", "split", "filter")
+
+
 class TestJsonSummary:
     def test_outputs_identical_with_and_without_json(self, tmp_path, capsys, monkeypatch):
         plain_out, plain_err, plain_files = _run_chain(tmp_path / "plain", capsys, monkeypatch)
@@ -163,6 +192,9 @@ class TestJsonSummary:
         for argv, err in zip(_CHAIN, json_err):
             summary = json.loads(err)
             assert summary["command"] == argv[0]
+            assert list(summary) == _SUMMARY_KEYS[argv[0]]
+            if argv[0] in _WRITERS:
+                assert summary["output"] == argv[argv.index("-o") + 1]
             timings = summary["timings"]
             assert sorted(timings) == ["compute_s", "lines_per_s", "parse_s", "write_s"]
             assert min(timings.values()) >= 0
@@ -179,6 +211,26 @@ class TestJsonSummary:
                     assert json.loads(plain_files["gt/summary.json"])["counts"] == counts
                 rows = sum(plain_files[name].count(b"\n") for name in outputs)
                 assert rows > 0 and sum(counts.values()) == rows
+
+    def test_each_command_parses_and_writes_through_cli(self, tmp_path, capsys, monkeypatch):
+        # The benchmark's tracer wraps these two module attributes, so every
+        # command must reach them through ``cli`` at call time.
+        calls = []
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("parse_manifest", "write_manifest"):
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        _run_chain(tmp_path / "chain", capsys, monkeypatch)
+        expected = []
+        for argv in _CHAIN:
+            expected += ["parse_manifest", *(["write_manifest"] if argv[0] in _WRITERS else [])]
+        assert calls == expected
 
 
 class TestCollector:
