@@ -13,7 +13,9 @@ from enum import Enum
 from pathlib import Path
 
 from .corpus import (
+    _ROW_BREAK,
     _breaks_row,
+    _refuse_lone_surrogate,
     ManifestError,
     Record,
     SourceKind,
@@ -39,11 +41,19 @@ class Strategy(Enum):
 
 
 class EmissionRecord(Record):
+    """One ``image<TAB>text`` TSV row. The constructor refuses a field with a tab,
+    a line break or an unpaired surrogate (``ValueError``), so any can be written."""
+
     __slots__ = ("image_ref", "text", "split", "source")
 
     def __init__(
         self, image_ref: str, text: str, split: Split, source: TranscriptionSource
     ) -> None:
+        if not (image_ref.isprintable() and text.isprintable()):
+            for label, value in (("image_ref", image_ref), ("text", text)):
+                if _breaks_row(value):
+                    raise ValueError(_ROW_BREAK.format(label, value))
+                _refuse_lone_surrogate(label, value)
         _set(self, "image_ref", image_ref)
         _set(self, "text", text)
         _set(self, "split", split)
@@ -109,37 +119,18 @@ def emit(corpus: Corpus, strategy: Strategy, seed: int = 0) -> list[EmissionReco
     return records
 
 
-def _check_field(label: str, value: str) -> None:
-    if _breaks_row(value):
-        raise ValueError(
-            f"{label} {value!r} contains a tab or newline and cannot be written as a TSV row"
-        )
-
-
 def write_ground_truth(records: Sequence[EmissionRecord], directory: str | Path) -> None:
     """Write ``train.tsv``, ``val.tsv`` and ``test.tsv`` (one
     ``image<TAB>text`` row per record, record order preserved).
 
-    All three files are written even when empty. A run of records that
-    share an image, as the records ``emit`` gives for one line do, has that
-    image checked once.
-
-    Raises:
-        ValueError: if an image reference or text contains a tab or a
-            character ``str.splitlines`` ends a line at, which would corrupt
-            the row format.
+    All three files are written even when empty. Every ``EmissionRecord``
+    fits its row, so nothing is checked here.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     # Keyed by member value, which hashes in C, not by member (``Enum.__hash__``).
     buckets: dict[str, list[str]] = {split.value: [] for split in Split}
-    checked = object()  # the previous record's image, once there is one
     for record in records:
-        image, text = record.image_ref, record.text
-        if image != checked:
-            _check_field("image_ref", image)
-            checked = image
-        _check_field("text", text)
-        buckets[record.split._value_].append(f"{image}\t{text}\n")
+        buckets[record.split._value_].append(f"{record.image_ref}\t{record.text}\n")
     for split, filename in _FILENAMES.items():
         atomic_write_text(directory / filename, "".join(buckets[split.value]))

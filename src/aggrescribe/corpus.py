@@ -51,6 +51,11 @@ _SPLIT_BY_NAME = {split.value: split for split in Split}
 
 AGGREGATE_KINDS = frozenset({SourceKind.AGGREGATE_ROVER, SourceKind.AGGREGATE_RASA})
 
+_HUMAN = SourceKind.HUMAN  # bound once: an enum class attribute costs a lookup per use
+
+#: What a value ``_breaks_row`` reports, as ``_ROW_BREAK.format(label, value)``.
+_ROW_BREAK = "{} {!r} contains a tab or newline and cannot be written as a TSV row"
+
 
 def _breaks_row(value: str) -> bool:
     """Whether ``value`` holds a tab or a character ``str.splitlines`` ends a
@@ -59,6 +64,15 @@ def _breaks_row(value: str) -> bool:
     if value.isprintable():
         return False
     return "\t" in value or "".join(value.splitlines()) != value
+
+
+def _refuse_lone_surrogate(field: str, value: str) -> None:
+    # A \ud800-style JSON escape parses to a lone surrogate, which no UTF-8
+    # file can hold. None is printable, so callers pass only values that are not.
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"'{field}' contains an unpaired surrogate") from None
 
 
 # Fold order for consensus voting: humans in manifest order, then the two
@@ -89,8 +103,8 @@ class Record:
     equal only to records of the same class whose fields are equal, hash and
     print by their fields, and refuse assignment with ``AttributeError``.
     Unlike a ``NamedTuple`` a record is not a tuple: it neither iterates nor
-    equals one. ``_replace(**changes)`` returns a copy with some fields
-    changed, built through ``__init__``, so the class's checks run again.
+    equals one. ``_replace(**changes)``, and so every ``with_*`` method, builds a
+    copy with some fields changed through ``__init__``: the checks run again.
     """
 
     __slots__ = ()
@@ -130,15 +144,18 @@ class TranscriptionSource(Record):
     __slots__ = ("kind", "annotator_id")
 
     def __init__(self, kind: SourceKind, annotator_id: str | None = None) -> None:
-        if annotator_id is not None and kind is not SourceKind.HUMAN:
-            raise ValueError("annotator_id is only allowed on human transcriptions")
+        if annotator_id is not None:
+            if kind is not _HUMAN:
+                raise ValueError("annotator_id is only allowed on human transcriptions")
+            if not annotator_id.isprintable():
+                _refuse_lone_surrogate("annotator", annotator_id)
         _set(self, "kind", kind)
         _set(self, "annotator_id", annotator_id)
 
 
 class Transcription(Record):
     """One candidate text for a line. The text is normalized on construction
-    and must be non-empty afterwards."""
+    and must be non-empty afterwards, with no unpaired surrogate."""
 
     __slots__ = ("text", "source", "uncertain")
 
@@ -146,6 +163,8 @@ class Transcription(Record):
         cleaned = normalize_text(text)
         if not cleaned:
             raise ValueError("transcription text is empty after normalization")
+        if not cleaned.isprintable():
+            _refuse_lone_surrogate("text", cleaned)
         _set(self, "text", cleaned)
         _set(self, "source", source)
         _set(self, "uncertain", uncertain)
@@ -154,9 +173,12 @@ class Transcription(Record):
 class TranscribedLine(Record):
     """One text-line image with its set of candidate transcriptions.
 
-    A line holds one or two human transcriptions, plus any automatic and
-    aggregate ones; the constructor raises ``ValueError`` otherwise, so no
-    step that takes a line checks for a missing human reading again.
+    The constructor raises ``ValueError`` unless, in this order, ``line_id``
+    and ``image_ref`` are non-empty, the image fits a TSV field, ``agreement``
+    is ``None`` or a number in [0, 100] (kept as a float), the line holds one
+    or two human transcriptions, and ``line_id``, ``image_ref`` and
+    ``page_id`` hold no unpaired surrogate. So any line can be written, read
+    back and emitted, and no step checks for a missing human reading again.
     """
 
     __slots__ = ("line_id", "image_ref", "transcriptions", "page_id", "split", "agreement")
@@ -173,9 +195,31 @@ class TranscribedLine(Record):
         transcriptions = tuple(transcriptions)
         if not line_id:
             raise ValueError("line_id must be non-empty")
-        humans = [t.source.kind for t in transcriptions].count(SourceKind.HUMAN)
+        if not image_ref:
+            raise ValueError("image_ref must be non-empty")
+        if _breaks_row(image_ref):
+            raise ValueError(_ROW_BREAK.format("'image'", image_ref))
+        if agreement.__class__ is not float and agreement is not None:
+            if isinstance(agreement, bool) or not isinstance(agreement, (int, float)):
+                raise ValueError("'agreement' must be a number")
+            try:
+                agreement = float(agreement)
+            except OverflowError:
+                raise ValueError("'agreement' is too large for a float") from None
+        if agreement is not None and not 0.0 <= agreement <= 100.0:  # NaN too
+            raise ValueError(f"'agreement' must be in [0, 100], got {agreement}")
+        humans = 0
+        for t in transcriptions:
+            if t.source.kind is _HUMAN:
+                humans += 1
         if humans != 1 and humans != 2:
             raise ValueError(f"expected 1 or 2 human transcriptions, found {humans}")
+        if not line_id.isprintable():
+            _refuse_lone_surrogate("line_id", line_id)
+        if not image_ref.isprintable():
+            _refuse_lone_surrogate("image", image_ref)
+        if page_id is not None and not page_id.isprintable():
+            _refuse_lone_surrogate("page_id", page_id)
         _set(self, "line_id", line_id)
         _set(self, "image_ref", image_ref)
         _set(self, "transcriptions", transcriptions)
@@ -245,10 +289,9 @@ def _parse_line(record: object, sources: dict) -> TranscribedLine:
     """Check one decoded manifest record's JSON types and build its line
     through the records' constructors.
 
-    Raises ``ManifestError`` with the bare reason, a constructor's
-    ``ValueError`` included; ``parse_manifest`` adds the ``file:line
-    (line_id ...)`` context. ``sources`` holds one shared
-    ``TranscriptionSource`` per ``(tag, annotator)`` pair met so far.
+    Raises ``ManifestError``, or a constructor's ``ValueError``, with the bare
+    reason; ``parse_manifest`` adds the ``file:line (line_id ...)`` context.
+    ``sources`` holds one ``TranscriptionSource`` per ``(tag, annotator)`` met.
     """
     if not isinstance(record, dict):
         raise ManifestError("record must be a JSON object")
@@ -259,10 +302,6 @@ def _parse_line(record: object, sources: dict) -> TranscribedLine:
     image = get("image")
     if not isinstance(image, str) or not image:
         raise ManifestError("missing or empty 'image'")
-    if _breaks_row(image):
-        raise ManifestError(
-            f"'image' {image!r} contains a tab or newline and cannot be written as a TSV row"
-        )
     page_id = get("page_id")
     if page_id is not None and not isinstance(page_id, str):
         raise ManifestError("'page_id' must be a string")
@@ -273,16 +312,8 @@ def _parse_line(record: object, sources: dict) -> TranscribedLine:
         except (KeyError, TypeError):  # TypeError: a list or object as the split
             raise ManifestError(f"unknown split {record['split']!r}") from None
     agreement = get("agreement")
-    if agreement is not None:
-        if isinstance(agreement, bool) or not isinstance(agreement, (int, float)):
-            raise ManifestError("'agreement' must be a number")
-        try:
-            agreement = float(agreement)
-        except OverflowError:
-            raise ManifestError("'agreement' is too large for a float") from None
-        # Also rejects NaN, which compares false with everything.
-        if not 0.0 <= agreement <= 100.0:
-            raise ManifestError(f"'agreement' must be in [0, 100], got {agreement}")
+    if isinstance(agreement, (bool, str, list, dict)):  # any JSON value but a number or null
+        raise ManifestError("'agreement' must be a number")
 
     entries = get("transcriptions")
     if not isinstance(entries, list) or not entries:
@@ -309,43 +340,21 @@ def _parse_line(record: object, sources: dict) -> TranscribedLine:
         uncertain = entry.get("uncertain", False)
         if not isinstance(uncertain, bool):
             raise ManifestError("'uncertain' must be a boolean")
-        try:
-            if source is None:
-                source = sources[tag, annotator] = TranscriptionSource(kind, annotator)
-            transcriptions.append(Transcription(text, source, uncertain))
-        except ValueError as exc:
-            raise ManifestError(str(exc)) from None
-    try:
-        return TranscribedLine(line_id, image, transcriptions, page_id, split, agreement)
-    except ValueError as exc:
-        raise ManifestError(str(exc)) from None
-
-
-def _require_utf8(line: TranscribedLine, context: str) -> None:
-    # A \ud800-style JSON escape parses to a lone surrogate, which can never
-    # be written back as UTF-8.
-    fields = [("line_id", line.line_id), ("image", line.image_ref), ("page_id", line.page_id)]
-    for t in line.transcriptions:
-        fields += [("text", t.text), ("annotator", t.source.annotator_id)]
-    for name, value in fields:
-        if value is None:
-            continue
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ManifestError(f"{context}: '{name}' contains an unpaired surrogate") from None
+        if source is None:
+            source = sources[tag, annotator] = TranscriptionSource(kind, annotator)
+        transcriptions.append(Transcription(text, source, uncertain))
+    return TranscribedLine(line_id, image, transcriptions, page_id, split, agreement)
 
 
 def parse_manifest(path: str | Path) -> Corpus:
     """Read a newline-delimited JSON manifest, preserving record order.
 
     Each line must be UTF-8 and hold one JSON object (a line of JSON
-    whitespace alone is skipped) whose fields follow the schema in this
-    module's docstring, with a ``line_id`` no earlier line used, an
-    ``agreement`` that is a finite number in [0, 100], an ``image`` that
-    fits a TSV field and no unpaired surrogate in any string the corpus
-    keeps; the records' constructors check the rest. One
-    ``TranscriptionSource`` is shared per ``(source, annotator)`` pair.
+    whitespace alone is skipped) whose fields have the JSON types and
+    presence of the schema in this module's docstring, with a ``line_id`` no
+    earlier line used. The records' constructors own every value rule, and
+    their ``ValueError`` gets the same context. One ``TranscriptionSource``
+    is shared per ``(source, annotator)`` pair.
 
     Raises:
         ManifestError: naming ``file:line`` (and the ``line_id``, once the
@@ -376,14 +385,10 @@ def parse_manifest(path: str | Path) -> Corpus:
                 raise ManifestError(f"{path.name}:{lineno}: unreadable JSON ({exc})") from exc
             try:
                 line = _parse_line(record, sources)
-            except ManifestError as exc:
+            except ValueError as exc:  # a ManifestError, or a constructor's rule
                 line_id = record.get("line_id") if isinstance(record, dict) else None
                 named = f" (line_id {line_id!r})" if isinstance(line_id, str) and line_id else ""
                 raise ManifestError(f"{path.name}:{lineno}{named}: {exc}") from None
-            # Only an escape of \ud800-\udfff can yield a lone surrogate, so
-            # lines without a \ud or \uD skip the check.
-            if "\\ud" in text or "\\uD" in text:
-                _require_utf8(line, f"{path.name}:{lineno}")
             if line.line_id in seen:
                 raise ManifestError(f"{path.name}:{lineno}: duplicate line_id {line.line_id!r}")
             seen.add(line.line_id)
@@ -424,22 +429,10 @@ def atomic_write_text(path: str | Path, content: str) -> None:
         raise
 
 
-#: The encoder ``write_manifest`` leaves a number to unless it is a finite
-#: float: ``json.dumps(value, ensure_ascii=False, allow_nan=False)``, built once.
-_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
-
 #: Fields by member value: ``member._value_`` is a plain attribute and a str
 #: key hashes in C, where a member key calls ``Enum.__hash__`` per lookup.
 _SPLIT_FIELD = {split.value: f', "split": "{split.value}"' for split in Split}
 _SOURCE_FIELD = {kind.value: f', "source": "{kind.value}"' for kind in SourceKind}
-
-
-def _json_number(value: object) -> str:
-    # A finite float as the encoder writes it; anything else (an int, a bool,
-    # NaN or an infinity, on which it raises) through the encoder itself.
-    if value.__class__ is float and value - value == 0.0:
-        return float.__repr__(value)
-    return _ENCODER.encode(value)
 
 
 def write_manifest(corpus: Corpus, path: str | Path) -> None:
@@ -453,9 +446,9 @@ def write_manifest(corpus: Corpus, path: str | Path) -> None:
     and ``annotator`` are left out when ``None``, ``uncertain`` when false.
     Items are separated by ``", "`` and keys from values by ``": "``;
     strings are quoted by ``json.encoder.encode_basestring``, which keeps
-    non-ASCII text as is. The text is built here directly rather than
-    through a dict and the encoder. A NaN or infinite agreement raises
-    ``ValueError`` before anything is written.
+    non-ASCII text as is; the agreement is written by ``float.__repr__``.
+    The text is built here directly rather than through a dict and the
+    encoder, with no check: the constructors accept only writable lines.
 
     ``parse_manifest(write_manifest(c))`` reproduces ``c`` line for line, and
     rewriting an unchanged corpus is byte-identical.
@@ -475,7 +468,7 @@ def write_manifest(corpus: Corpus, path: str | Path) -> None:
             add(_SPLIT_FIELD[line.split._value_])
         if line.agreement is not None:
             add(', "agreement": ')
-            add(_json_number(line.agreement))
+            add(float.__repr__(line.agreement))
         opening = ', "transcriptions": [{"text": '
         for t in line.transcriptions:
             source = t.source

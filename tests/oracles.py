@@ -213,10 +213,21 @@ def _parse_transcription(entry: object, context: str, sources: dict) -> Transcri
     uncertain = entry.get("uncertain", False)
     if not isinstance(uncertain, bool):
         raise ManifestError(f"{context}: 'uncertain' must be a boolean")
+    # Each surrogate scan runs where its constructor checks, after the rule
+    # that constructor checks first: the annotator only on human readings,
+    # the text not blank.
+    if annotator is not None and kind is SourceKind.HUMAN:
+        _require_utf8("annotator", annotator, context)
     try:
         source = sources.get((tag, annotator))
         if source is None:
             source = sources[tag, annotator] = TranscriptionSource(kind, annotator)
+    except ValueError as exc:
+        raise ManifestError(f"{context}: {exc}") from exc
+    cleaned = reference_normalize_text(text)
+    if cleaned:
+        _require_utf8("text", cleaned, context)
+    try:
         return Transcription(text, source, uncertain)
     except ValueError as exc:
         raise ManifestError(f"{context}: {exc}") from exc
@@ -232,11 +243,6 @@ def _parse_line(record: object, context: str, sources: dict) -> TranscribedLine:
     image = record.get("image")
     if not isinstance(image, str) or not image:
         raise ManifestError(f"{context}: missing or empty 'image'")
-    if reference_breaks_row(image):
-        raise ManifestError(
-            f"{context}: 'image' {image!r} contains a tab or newline and cannot be "
-            "written as a TSV row"
-        )
     page_id = record.get("page_id")
     if page_id is not None and not isinstance(page_id, str):
         raise ManifestError(f"{context}: 'page_id' must be a string")
@@ -251,13 +257,6 @@ def _parse_line(record: object, context: str, sources: dict) -> TranscribedLine:
     if agreement is not None:
         if isinstance(agreement, bool) or not isinstance(agreement, (int, float)):
             raise ManifestError(f"{context}: 'agreement' must be a number")
-        try:
-            agreement = float(agreement)
-        except OverflowError:
-            raise ManifestError(f"{context}: 'agreement' is too large for a float") from None
-        # Also rejects NaN, which compares false with everything.
-        if not 0.0 <= agreement <= 100.0:
-            raise ManifestError(f"{context}: 'agreement' must be in [0, 100], got {agreement}")
 
     entries = record.get("transcriptions")
     if not isinstance(entries, list) or not entries:
@@ -268,33 +267,48 @@ def _parse_line(record: object, context: str, sources: dict) -> TranscribedLine:
         t = _parse_transcription(entry, context, sources)
         human_count += t.source.kind is SourceKind.HUMAN
         transcriptions.append(t)
+    # The line's value rules, in the order ``TranscribedLine`` checks them,
+    # once every transcription is built.
+    if reference_breaks_row(image):
+        raise ManifestError(
+            f"{context}: 'image' {image!r} contains a tab or newline and cannot be "
+            "written as a TSV row"
+        )
+    if agreement is not None:
+        try:
+            agreement = float(agreement)
+        except OverflowError:
+            raise ManifestError(f"{context}: 'agreement' is too large for a float") from None
+        # Also rejects NaN, which compares false with everything.
+        if not 0.0 <= agreement <= 100.0:
+            raise ManifestError(f"{context}: 'agreement' must be in [0, 100], got {agreement}")
     if human_count not in (1, 2):
         raise ManifestError(
             f"{context}: expected 1 or 2 human transcriptions, found {human_count}"
         )
+    for name, value in (("line_id", line_id), ("image", image), ("page_id", page_id)):
+        if value is not None:
+            _require_utf8(name, value, context)
     return TranscribedLine(line_id, image, tuple(transcriptions), page_id, split, agreement)
 
 
-def _require_utf8(line: TranscribedLine, context: str) -> None:
+def _require_utf8(name: str, value: str, context: str) -> None:
     # A \ud800-style JSON escape parses to a lone surrogate, which can never
     # be written back as UTF-8.
-    fields = [("line_id", line.line_id), ("image", line.image_ref), ("page_id", line.page_id)]
-    for t in line.transcriptions:
-        fields += [("text", t.text), ("annotator", t.source.annotator_id)]
-    for name, value in fields:
-        if value is None:
-            continue
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ManifestError(f"{context}: '{name}' contains an unpaired surrogate") from None
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ManifestError(f"{context}: '{name}' contains an unpaired surrogate") from None
 
 
 def reference_parse_manifest(path) -> Corpus:
     """``corpus.parse_manifest`` before the one-pass parser: each line goes
     through ``_parse_line`` and ``_parse_transcription`` with an eagerly
     built ``file:line (line_id ...)`` context, and every record through its
-    public constructor. Blank lines were those ``str.strip`` empties."""
+    public constructor. Blank lines were those ``str.strip`` empties. The
+    row-break, agreement and surrogate checks are its own, moved to where
+    the constructors now check them, so a lone surrogate names its
+    ``line_id`` and a faulty transcription is reported before them."""
     path = Path(path)
     name = path.name
     lines: list[TranscribedLine] = []
@@ -318,8 +332,6 @@ def reference_parse_manifest(path) -> Corpus:
             except (ValueError, RecursionError) as exc:
                 raise ManifestError(f"{context}: unreadable JSON ({exc})") from exc
             line = _parse_line(record, context, sources)
-            if "\\u" in text:
-                _require_utf8(line, context)
             if line.line_id in seen:
                 raise ManifestError(f"{context}: duplicate line_id {line.line_id!r}")
             seen.add(line.line_id)

@@ -24,7 +24,7 @@ from aggrescribe import (
     write_ground_truth,
 )
 from conftest import build_line
-from oracles import reference_emit, reference_write_ground_truth
+from oracles import reference_breaks_row, reference_emit, reference_write_ground_truth
 
 
 def full_line(
@@ -154,12 +154,12 @@ class TestWriteGroundTruth:
             "img/b.png\ttrois"
         ]
 
-    def test_tab_in_image_ref_rejected(self, tmp_path):
-        record = EmissionRecord(
-            "img\tbad.png", "texte", Split.TRAIN, TranscriptionSource(SourceKind.HUMAN)
-        )
-        with pytest.raises(ValueError, match="tab or newline"):
-            write_ground_truth([record], tmp_path)
+    def test_tab_in_image_ref_rejected(self):
+        message = r"image_ref 'img\\tbad\.png' contains a tab or newline"
+        with pytest.raises(ValueError, match=message):
+            EmissionRecord(
+                "img\tbad.png", "texte", Split.TRAIN, TranscriptionSource(SourceKind.HUMAN)
+            )
 
     @pytest.mark.parametrize(
         "boundary",
@@ -167,17 +167,16 @@ class TestWriteGroundTruth:
         ids=repr,
     )
     @pytest.mark.parametrize("field", ["image", "text"])
-    def test_line_boundary_rejected(self, tmp_path, boundary, field):
+    def test_line_boundary_rejected(self, boundary, field):
         assert len(f"a{boundary}b".splitlines()) == 2
         image, text = "img/a.png", "texte"
         if field == "image":
             image = f"img{boundary}a.png"
         else:
             text = f"tex{boundary}te"
-        record = EmissionRecord(image, text, Split.TRAIN, TranscriptionSource(SourceKind.HUMAN))
-        with pytest.raises(ValueError, match="tab or newline"):
-            write_ground_truth([record], tmp_path)
-        assert not (tmp_path / "train.tsv").exists()
+        label = "image_ref" if field == "image" else "text"
+        with pytest.raises(ValueError, match=f"^{label} .* contains a tab or newline"):
+            EmissionRecord(image, text, Split.TRAIN, TranscriptionSource(SourceKind.HUMAN))
 
     def test_other_control_characters_kept_on_one_row(self, tmp_path):
         others = "".join(
@@ -208,24 +207,27 @@ _images = st.sampled_from(["img/a.png", "img/b.png"]) | _field_text
 def _emittable_corpora(draw):
     """Lines of every shape ``emit`` meets: 1-2 human readings, 0-2
     automatic ones, either aggregate or none, any split or none, and
-    images that may share a name or break a row."""
+    images that may share a name. An image that breaks a row is refused
+    when its line is built, and that line is left out."""
     words = st.sampled_from(["un", "deux", "trois", "é è"])
     lines = []
     for i in range(draw(st.integers(min_value=0, max_value=5))):
         humans = draw(st.lists(words, min_size=1, max_size=2))
         autos = draw(st.lists(words, max_size=2))
         rover, rasa = draw(st.none() | words), draw(st.none() | words)
-        lines.append(
-            build_line(
-                f"L{i}",
-                humans=tuple(humans),
-                autos=tuple(autos),
-                rover=rover,
-                rasa=rasa,
-                image=draw(_images),
-                split=draw(st.sampled_from([*Split, *Split, None])),
-            )
+        fields = dict(
+            humans=tuple(humans),
+            autos=tuple(autos),
+            rover=rover,
+            rasa=rasa,
+            image=draw(_images),
+            split=draw(st.sampled_from([*Split, *Split, None])),
         )
+        if reference_breaks_row(fields["image"]):
+            with pytest.raises(ValueError, match="'image' .* contains a tab or newline"):
+                build_line(f"L{i}", **fields)
+        else:
+            lines.append(build_line(f"L{i}", **fields))
     return Corpus(tuple(lines))
 
 
@@ -263,6 +265,10 @@ class TestEmissionMatchesReference:
     def test_written_records_built_in_code(self, rows, tmp_path_factory):
         base = tmp_path_factory.mktemp("gt")
         human = TranscriptionSource(SourceKind.HUMAN)
+        if any(reference_breaks_row(value) for image, text, _ in rows for value in (image, text)):
+            with pytest.raises(ValueError, match="contains a tab or newline"):
+                [EmissionRecord(image, text, split, human) for image, text, split in rows]
+            return
         records = [EmissionRecord(image, text, split, human) for image, text, split in rows]
         written = _outcome(lambda: reference_write_ground_truth(records, base / "ref"))
         assert _outcome(lambda: write_ground_truth(records, base / "new")) == written
@@ -331,16 +337,14 @@ class TestErrorKinds:
             lambda: build_line("A").with_aggregate(
                 Transcription("x", TranscriptionSource(SourceKind.HUMAN))
             ),
-            lambda: write_ground_truth(
-                [EmissionRecord("a\tb", "x", Split.TRAIN, TranscriptionSource(SourceKind.HUMAN))],
-                "unused",
+            lambda: EmissionRecord(
+                "a\tb", "x", Split.TRAIN, TranscriptionSource(SourceKind.HUMAN)
             ),
         ],
         ids=["threshold", "split-sizes", "split-map", "split-extra", "empty-texts",
              "aggregate-kind", "row-break"],
     )
-    def test_bad_argument_is_a_plain_value_error(self, step, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
+    def test_bad_argument_is_a_plain_value_error(self, step):
         with pytest.raises(ValueError) as excinfo:
             step()
         assert not isinstance(excinfo.value, ManifestError)

@@ -802,7 +802,8 @@ class TestManifestBoundary:
         )
         assert run("validate", bad) == EXIT_VALIDATION
         assert capsys.readouterr().err == (
-            "aggrescribe: manifest error: bad.jsonl:2: 'text' contains an unpaired surrogate\n"
+            "aggrescribe: manifest error: bad.jsonl:2 (line_id 'B'): "
+            "'text' contains an unpaired surrogate\n"
         )
 
     def test_tab_in_image_is_validation_error(self, tmp_path, capsys):

@@ -341,7 +341,9 @@ class TestParse:
         path.write_text(json.dumps(record("L1")) + "\n" + line + "\n", encoding="ascii")
         with pytest.raises(ManifestError) as excinfo:
             parse_manifest(path)
-        assert str(excinfo.value) == "upper.jsonl:2: 'text' contains an unpaired surrogate"
+        assert str(excinfo.value) == (
+            "upper.jsonl:2 (line_id 'L2'): 'text' contains an unpaired surrogate"
+        )
 
 
 corpus_text = st.text(
@@ -404,11 +406,14 @@ class TestWrite:
         reparsed = parse_manifest(path)
         assert reparsed == corpus
 
-    def test_non_finite_agreement_not_written(self, tmp_path, make_line):
-        path = tmp_path / "out.jsonl"
-        with pytest.raises(ValueError, match="JSON compliant"):
-            write_manifest(Corpus((make_line("A", agreement=float("nan")),)), path)
-        assert not path.exists()
+    def test_non_finite_agreement_not_written(self, make_line):
+        # Refused when the line is built, so no corpus to write can hold one.
+        for value in (float("nan"), float("inf"), -float("inf")):
+            message = rf"'agreement' must be in \[0, 100\], got {value}$"
+            with pytest.raises(ValueError, match=message):
+                make_line("A", agreement=value)
+            with pytest.raises(ValueError, match="must be in"):
+                make_line("A").with_agreement(value)
 
     @given(corpus=corpora())
     def test_rewrite_is_byte_identical(self, corpus, tmp_path_factory):
@@ -659,8 +664,20 @@ _agreements = (
 _NON_HUMAN_KINDS = [kind for kind in SourceKind if kind is not SourceKind.HUMAN]
 
 
+def _built(cls, *args):
+    """``cls(*args)``, or ``None`` where the constructor refuses the values."""
+    try:
+        return cls(*args)
+    except ValueError:
+        return None
+
+
 @st.composite
 def _any_corpora(draw):
+    """Corpora of lines with tricky values. A record whose constructor
+    refuses its values (a tab or line break in the image, a lone surrogate,
+    an agreement that is not a number in [0, 100]) is left out, so the
+    writers see only what the constructors accept."""
     ids = draw(st.lists(st.text(min_size=1, max_size=6), max_size=4, unique=True))
     lines = []
     for line_id in ids:
@@ -671,19 +688,20 @@ def _any_corpora(draw):
         for kind in draw(st.permutations(kinds)):
             annotator = draw(st.none() | _tricky_text) if kind is SourceKind.HUMAN else None
             text = draw(_tricky_text.filter(normalize_text))
-            transcriptions.append(
-                Transcription(text, TranscriptionSource(kind, annotator), draw(st.booleans()))
-            )
-        lines.append(
-            TranscribedLine(
-                line_id,
-                draw(_tricky_text),
-                tuple(transcriptions),
-                page_id=draw(st.none() | _tricky_text),
-                split=draw(st.none() | st.sampled_from(list(Split))),
-                agreement=draw(_agreements),
-            )
+            source = _built(TranscriptionSource, kind, annotator)
+            uncertain = draw(st.booleans())
+            transcriptions.append(source and _built(Transcription, text, source, uncertain))
+        line = _built(
+            TranscribedLine,
+            line_id,
+            draw(_tricky_text),
+            tuple(t for t in transcriptions if t is not None),
+            draw(st.none() | _tricky_text),
+            draw(st.none() | st.sampled_from(list(Split))),
+            draw(_agreements),
         )
+        if line is not None:
+            lines.append(line)
     return Corpus(tuple(lines))
 
 
@@ -696,7 +714,7 @@ class TestWriteMatchesReference:
         for write, name in ((reference_write_manifest, "ref.jsonl"), (write_manifest, "new.jsonl")):
             try:
                 write(corpus, base / name)
-            except ValueError as exc:  # NaN or infinity, or a lone surrogate
+            except ValueError as exc:  # none expected: the constructors refuse such values
                 outcomes.append((type(exc), str(exc)))
                 assert not (base / name).exists()
             else:

@@ -1,5 +1,6 @@
 """The value types are slot records: equal by class and fields, hashable when
-their fields are, immutable, printed by field, and rebuilt by ``_replace``."""
+their fields are, immutable, printed by field, and rebuilt by ``_replace``.
+Any record their constructors accept can be written, read back and emitted."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import copy
 import pickle
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from aggrescribe import (
     ConsensusResult,
@@ -20,6 +23,9 @@ from aggrescribe import (
     TranscribedLine,
     Transcription,
     TranscriptionSource,
+    parse_manifest,
+    write_ground_truth,
+    write_manifest,
 )
 from aggrescribe.corpus import Record
 
@@ -221,3 +227,120 @@ class TestLineUpdates:
         assert updated.agreement == 88.0
         assert LINE.agreement is None
         assert updated._replace(agreement=None) == LINE
+
+
+#: Strings a constructor must keep or refuse: each odd character alone, and
+#: mixes of tabs, line breaks, lone surrogates, spaces, quotes, controls and
+#: non-ASCII letters.
+_ODD_CHARACTERS = ["é", "\U0001d11e", " ", '"', "\\", "\t", "\n", "\r", "\x0c", "\x85",
+                   "\u2028", "\x00", "\ud800", "\udfff"]
+_tricky_strings = st.sampled_from([f"a{c}b" for c in _ODD_CHARACTERS]) | st.text(
+    alphabet=st.sampled_from(["a", *_ODD_CHARACTERS]), max_size=4
+)
+_tricky_agreements = (
+    st.none()
+    | st.sampled_from(
+        [97, 0, 100, -1, 101, 100.5, -0.0, 5e-324, 10**400, True, "50",
+         float("nan"), float("inf"), -float("inf")]
+    )
+    | st.floats()
+    | st.integers()
+)
+
+
+def _fields(annotator=None, text="bonjour", **changes):
+    """Keyword arguments for a ``TranscribedLine`` with one human reading,
+    given as ``[kind, annotator, text, uncertain]``."""
+    fields = dict(line_id="L1", image_ref="img/a.png", page_id=None, split=None, agreement=None)
+    return {**fields, "transcriptions": [[SourceKind.HUMAN, annotator, text, False]], **changes}
+
+
+@st.composite
+def _line_fields(draw):
+    """``_fields`` with any readings, id and split, and then one to three
+    values, of the line or of a reading, replaced by tricky ones."""
+    kinds = [SourceKind.HUMAN, *draw(st.lists(st.sampled_from(list(SourceKind)), max_size=3))]
+    kinds = draw(st.permutations(kinds))
+    readings = [[kind, None, "bonjour", draw(st.booleans())] for kind in kinds]
+    fields = _fields(
+        line_id=draw(st.sampled_from(["L1", "L2"])),
+        transcriptions=readings,
+        split=draw(st.none() | st.sampled_from(list(Split))),
+    )
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        name = draw(st.sampled_from(["line_id", "image_ref", "page_id", "agreement", 1, 2]))
+        if name == "agreement":
+            fields[name] = draw(_tricky_agreements)
+        elif name in (1, 2):  # a reading's annotator or text
+            draw(st.sampled_from(readings))[name] = draw(_tricky_strings)
+        else:
+            fields[name] = draw(_tricky_strings)
+    return fields
+
+
+def _build_line(fields):
+    readings = [
+        Transcription(text, TranscriptionSource(kind, annotator), uncertain)
+        for kind, annotator, text, uncertain in fields["transcriptions"]
+    ]
+    return TranscribedLine(**{**fields, "transcriptions": readings})
+
+
+class TestAcceptedRecordsAreWritable:
+    """Each drawn record is refused by a constructor with a ``ValueError``,
+    or can be written, read back and written again to the same bytes, and
+    emitted as TSV rows."""
+
+    @settings(suppress_health_check=[HealthCheck.too_slow])
+    @given(lines=st.lists(_line_fields(), min_size=1, max_size=3))
+    @example(lines=[_fields(agreement=97)])
+    @example(lines=[_fields(agreement=float("nan"))])
+    @example(lines=[_fields(image_ref="img\ta.png")])
+    @example(lines=[_fields(line_id="L\ud800")])
+    @example(lines=[_fields(page_id="P\udfff")])
+    @example(lines=[_fields(annotator="u\ud800")])
+    @example(lines=[_fields(text="a\ud800b")])
+    def test_corpus_refused_or_round_trips(self, lines, tmp_path_factory):
+        try:
+            corpus = Corpus(_build_line(fields) for fields in lines)
+        except ValueError:
+            return
+        base = tmp_path_factory.mktemp("accepted")
+        write_manifest(corpus, base / "a.jsonl")
+        reparsed = parse_manifest(base / "a.jsonl")
+        assert reparsed == corpus
+        assert repr(reparsed) == repr(corpus)  # also tells 97 from 97.0
+        write_manifest(reparsed, base / "b.jsonl")
+        assert (base / "b.jsonl").read_bytes() == (base / "a.jsonl").read_bytes()
+        rows = [
+            EmissionRecord(line.image_ref, t.text, Split.TRAIN, t.source)
+            for line in corpus
+            for t in line.transcriptions
+        ]
+        write_ground_truth(rows, base / "gt")
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.just("img/a.png") | _tricky_strings,
+                st.just("bonjour") | _tricky_strings,
+                st.sampled_from(list(Split)),
+            ),
+            max_size=4,
+        )
+    )
+    @example(rows=[("img\ta.png", "x", Split.TRAIN)])
+    @example(rows=[("img/a.png", "a\ud800b", Split.TEST)])
+    def test_emission_records_refused_or_written(self, rows, tmp_path_factory):
+        try:
+            records = [EmissionRecord(image, text, split, HUMAN) for image, text, split in rows]
+        except ValueError:
+            return
+        directory = tmp_path_factory.mktemp("accepted")
+        write_ground_truth(records, directory)
+        for split, name in [(Split.TRAIN, "train.tsv"), (Split.VALIDATION, "val.tsv"),
+                            (Split.TEST, "test.tsv")]:
+            rows_read = (directory / name).read_bytes().decode("utf-8").splitlines()
+            assert [row.split("\t") for row in rows_read] == [
+                [r.image_ref, r.text] for r in records if r.split is split
+            ]
