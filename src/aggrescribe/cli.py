@@ -7,13 +7,14 @@ machine-readable summary to stderr: ``command``, the command's own fields,
 seconds spent parsing, computing and writing and the input lines per second
 over the three. Exit codes: 1 usage error, 2 a manifest that fails validation
 or holds a line the step cannot use, 3 I/O failure. Any other exception is a
-bug and propagates.
+bug and propagates with its traceback.
 
 Set ``AGGRESCRIBE_THREADS`` to spread the per-line work of ``aggregate`` and
-``agree`` over up to that many forked worker processes, at most one per CPU and
-per line. Where the platform has no ``fork``, the work runs inline. The output
-bytes are identical either way. A value that is not an integer is a usage
-error, reported before the manifest is read.
+``agree`` over up to that many forked workers, at most one per line and per
+usable CPU; below 1 means one. A chunk that raises is mapped again inline, so
+errors raise as in a one-worker run. Without ``fork`` the work runs inline.
+The output bytes are identical either way. A value that is not an integer is
+a usage error, reported before the manifest is read.
 """
 
 from __future__ import annotations
@@ -102,23 +103,26 @@ def _thread_cap() -> int:
 
 def _map_lines(fn: Callable, lines: Sequence, threads: int) -> list:
     # Results keep corpus order regardless of worker count, so parallel runs
-    # are byte-identical to sequential ones. No more workers than CPUs or
-    # lines, whatever the environment asks for.
-    workers = min(threads, os.cpu_count() or 1, len(lines))
-    if workers <= 1 or not hasattr(os, "fork"):
-        return [fn(line) for line in lines]
-    return _forked_map(fn, lines, workers)
+    # are byte-identical to sequential ones. No more workers than lines or
+    # than CPUs this process may run on, whatever the environment asks for.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, cpus or 1, len(lines))
+    results = _forked_map(fn, lines, workers) if workers > 1 and hasattr(os, "fork") else None
+    # One worker, or a chunk raised: the first failing line raises here, with
+    # the type, message and traceback of a one-worker run.
+    return [fn(line) for line in lines] if results is None else results
 
 
-def _forked_map(fn: Callable, lines: Sequence, workers: int) -> list:
-    """``[fn(line) for line in lines]`` over ``workers`` processes.
+def _forked_map(fn: Callable, lines: Sequence, workers: int) -> list | None:
+    """``[fn(line) for line in lines]`` over ``workers`` processes, or None
+    if a chunk raised.
 
     The lines are cut into contiguous chunks. A forked child computes each
     chunk but the last, which this process computes itself. Children inherit
-    ``fn`` and the lines, so only their results, or the exception they raised,
-    are pickled, into one pipe per child. Every child is reaped before this
-    returns or raises. The first exception in chunk order is raised, with the
-    type and message an inline run would raise.
+    ``fn`` and the lines, so only their results are pickled, into one pipe per
+    child; a child whose chunk raises sends nothing. Every child is reaped
+    before this returns or raises, and a child that exited nonzero raises
+    ``ChildProcessError`` before anything else is looked at.
     """
     # Imported here: a single-worker process never pays for it.
     import pickle
@@ -141,43 +145,38 @@ def _forked_map(fn: Callable, lines: Sequence, workers: int) -> list:
             children.append((pid, os.fdopen(read_end, "rb")))
         try:
             own = [fn(line) for line in lines[cuts[-2] :]]
-        except Exception as exc:
-            own = exc
+        except Exception:
+            own = None  # the caller maps every line again, and it raises there
         received = [reader.read() for _, reader in children]
     finally:
         statuses = []
         for pid, reader in children:
             reader.close()
             statuses.append(os.waitpid(pid, 0)[1])
-    outcomes = []
-    for (pid, _), data, status in zip(children, received, statuses):
+    for (pid, _), status in zip(children, statuses):
         if status != 0:
             code = os.waitstatus_to_exitcode(status)
             raise ChildProcessError(f"worker process {pid} exited with status {code}")
-        outcomes.append(pickle.loads(data))
-    outcomes.append(own)
-    results = []
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-        results.extend(outcome)
-    return results
+    if own is not None and all(received):
+        return [result for data in received for result in pickle.loads(data)] + own
+    return None
 
 
 def _child(fn: Callable, chunk: Sequence, write_end: int) -> None:
     # A forked child never returns into its parent's code: it leaves through
-    # os._exit, which also skips the parent's atexit handlers and unflushed
-    # buffers. A nonzero status tells the parent that no outcome was sent.
+    # os._exit, skipping the parent's atexit handlers and unflushed buffers.
+    # A raising chunk sends nothing; a nonzero status says results could not be sent.
     import pickle
 
     status = 1
     try:
-        try:
-            outcome = [fn(line) for line in chunk]
-        except Exception as exc:
-            outcome = exc
         with os.fdopen(write_end, "wb") as out:
-            pickle.dump(outcome, out, pickle.HIGHEST_PROTOCOL)
+            try:
+                results = [fn(line) for line in chunk]
+            except Exception:
+                pass
+            else:
+                pickle.dump(results, out, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)

@@ -357,11 +357,18 @@ class TestThreads:
             (4, 1, 10, None),
             (4, 8, 1, None),
             (1, 8, 10, None),
+            # a set: the CPUs this process may run on, on a host of 8
+            (2, {0}, 10, None),
+            (4, {0, 5, 7}, 10, 3),
+            (4, set(range(8)), 2, 2),
         ],
+        ids=lambda value: repr(value) if isinstance(value, set) else None,
     )
     def test_workers_capped_by_cpus_and_lines(
         self, monkeypatch, threads, cpus, lines, workers
     ):
+        """``cpus`` is an ``os.cpu_count()`` on a platform without
+        ``os.sched_getaffinity``, or a set that ``sched_getaffinity`` returns."""
         created = []
 
         def recording_map(fn, items, count):
@@ -370,7 +377,12 @@ class TestThreads:
             return [fn(x) for x in items]
 
         monkeypatch.setattr(cli, "_forked_map", recording_map)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        if isinstance(cpus, set):
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        else:
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         items = list(range(lines))
         assert cli._map_lines(lambda x: x * x, items, threads) == [x * x for x in items]
         # workers None: the lines run in the calling process, with no fork
@@ -382,17 +394,31 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _usable_cpus(monkeypatch, count):
+    """Let ``_map_lines`` see ``count`` CPUs, so that workers fork even on a
+    one-CPU host."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: count)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _frames_below(excinfo, name):
+    names = [entry.name for entry in excinfo.traceback]
+    return names[names.index(name) + 1 :]
+
+
 def _raised(fn, items, threads):
+    """The type, message and traceback frame names below ``_map_lines`` of
+    what ``_map_lines`` raises."""
     with pytest.raises(Exception) as excinfo:
         cli._map_lines(fn, items, threads)
-    return type(excinfo.value), str(excinfo.value)
+    return type(excinfo.value), str(excinfo.value), _frames_below(excinfo, "_map_lines")
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestForkedMap:
     @pytest.fixture(autouse=True)
     def _cpus(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        _usable_cpus(monkeypatch, 8)
 
     def test_uneven_chunks_keep_order(self):
         # 7 lines on 3 workers: chunks of 2, 2 and 3, the last one this process's
@@ -404,15 +430,35 @@ class TestForkedMap:
         assert os.getpid() not in pids[:4]
         _no_child_left()
 
-    @pytest.mark.parametrize("bad", [{1}, {3}, {5}, {1, 5}, {3, 5}], ids=repr)
-    def test_first_exception_in_chunk_order_as_inline(self, bad):
-        def check(x):
-            if x in bad:
-                raise ManifestError(f"manifest.jsonl:{x + 1}: bad line {x}")
-            return x
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ({1}, ManifestError),
+            ({3}, ManifestError),
+            ({5}, ManifestError),
+            ({1, 5}, ManifestError),
+            ({3, 5}, ManifestError),
+            ({4}, TypeError),
+        ],
+        ids=["{1}", "{3}", "{5}", "{1, 5}", "{3, 5}", "{4}-TypeError-in-a-helper"],
+    )
+    def test_first_exception_in_chunk_order_as_inline(self, bad, error):
+        def helper(x):
+            if error is TypeError:
+                return len(x)  # a bug: x is an int
+            raise ManifestError(f"manifest.jsonl:{x + 1}: bad line {x}")
 
+        def check(x):
+            return helper(x) if x in bad else x
+
+        first = min(bad)
+        message = {
+            ManifestError: f"manifest.jsonl:{first + 1}: bad line {first}",
+            TypeError: "object of type 'int' has no len()",
+        }[error]
         inline = _raised(check, range(7), 1)
-        assert inline == (ManifestError, f"manifest.jsonl:{min(bad) + 1}: bad line {min(bad)}")
+        assert inline[:2] == (error, message)
+        assert inline[2][-2:] == ["check", "helper"]
         assert _raised(check, range(7), 3) == inline
         _no_child_left()
 
@@ -865,25 +911,34 @@ class TestManifestBoundary:
             "unknown source tag ['human']\n"
 
     @pytest.mark.parametrize(
-        "name, argv",
+        "name, argv, threads",
         [
-            ("agreement_score", ["agree", FIXTURE, "-o", "out.jsonl"]),
+            ("agreement_score", ["agree", FIXTURE, "-o", "out.jsonl"], "1"),
+            ("agreement_score", ["agree", FIXTURE, "-o", "out.jsonl"], "2"),
             ("filter_by_agreement",
-             ["filter", FIXTURE, "-o", "out.jsonl", "--min-agreement", "50"]),
-            ("emit", ["emit", FIXTURE, "--strategy", "all-human", "--out", "gt"]),
+             ["filter", FIXTURE, "-o", "out.jsonl", "--min-agreement", "50"], "1"),
+            ("emit", ["emit", FIXTURE, "--strategy", "all-human", "--out", "gt"], "1"),
         ],
-        ids=["agree", "filter", "emit"],
+        ids=["agree", "agree-on-2-workers", "filter", "emit"],
     )
-    def test_programming_error_is_not_a_manifest_error(self, tmp_path, monkeypatch, name, argv):
+    def test_programming_error_is_not_a_manifest_error(
+        self, tmp_path, monkeypatch, name, argv, threads
+    ):
         def broken(*args, **kwargs):
             raise ValueError("a bug, not bad input")
 
         monkeypatch.setattr(cli, name, broken)
         monkeypatch.chdir(tmp_path)
+        _usable_cpus(monkeypatch, 2)
+        monkeypatch.setenv("AGGRESCRIBE_THREADS", threads)
         with pytest.raises(ValueError, match="a bug") as excinfo:
             run(*argv)
         assert not isinstance(excinfo.value, ManifestError)
+        # the bug's own frame, whatever the worker count
+        assert _frames_below(excinfo, "main")[-1] == "broken"
         assert list(tmp_path.iterdir()) == []
+        if hasattr(os, "fork"):
+            _no_child_left()
 
     @pytest.mark.parametrize(
         "order, threads",
@@ -908,8 +963,7 @@ class TestManifestBoundary:
         path.write_text("".join(json.dumps(records[k]) + "\n" for k in order), encoding="utf-8")
         assert run("validate", path) == EXIT_OK
         capsys.readouterr()
-        # CPUs patched so that two workers fork even on a one-CPU host
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        _usable_cpus(monkeypatch, 2)
         monkeypatch.setenv("AGGRESCRIBE_THREADS", threads)
         out = tmp_path / "out.jsonl"
         code = run("aggregate", path, "-o", out, "--method", "rover", "--level", "word")
