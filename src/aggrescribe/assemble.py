@@ -92,8 +92,9 @@ def _select(line: TranscribedLine, strategy: Strategy, rng: SeededRng) -> list[T
     ]
 
 
-def emit(corpus: Corpus, strategy: Strategy, seed: int = 0) -> list[EmissionRecord]:
-    """Expand the corpus into training records under a strategy.
+def emit(corpus: Corpus, strategy: Strategy | str, seed: int = 0) -> list[EmissionRecord]:
+    """Expand the corpus into training records under a strategy, given as a
+    member or as its value (``"random-one"``).
 
     Each line's split is read from the line itself. Train and validation
     lines expand per the strategy; test lines always yield one human record.
@@ -102,9 +103,11 @@ def emit(corpus: Corpus, strategy: Strategy, seed: int = 0) -> list[EmissionReco
     the same records.
 
     Raises:
+        ValueError: if ``strategy`` is neither a member nor a member's value.
         ManifestError: if a line has no split, or lacks the aggregate
             transcription the strategy needs.
     """
+    strategy = Strategy(strategy)
     rng = SeededRng(seed)
     records: list[EmissionRecord] = []
     for line in corpus.lines:

@@ -9,11 +9,15 @@ the weighted aggregate.
 Distances come from the normalized symmetric character rate, so the whole
 computation is deterministic and works without annotator identities. A line
 has only a handful of candidates, so the iteration runs on plain Python floats.
+Each round turns the scores into normalized inverse weights, then computes
+every score once, as a left-to-right sum over its distance row; the last
+round's scores make the final pick.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import mul, sub
 
 from .metrics import sym_char_distance
 from .corpus import (
@@ -75,11 +79,6 @@ def distance_matrix(texts: Sequence[str]) -> list[list[float]]:
     return matrix
 
 
-def _scores(matrix: list[list[float]], weights: list[float]) -> list[float]:
-    # Each candidate's weighted sum of distances to the others.
-    return [sum(d * w for d, w in zip(row, weights)) for row in matrix]
-
-
 def rasa_select(texts: Sequence[str]) -> RasaSelection:
     """Pick the input closest to the reliability-weighted aggregate.
 
@@ -99,19 +98,20 @@ def rasa_select(texts: Sequence[str]) -> RasaSelection:
 
     matrix = distance_matrix(texts)
     weights = [1.0 / n] * n
+    scores = [sum(map(mul, row, weights)) for row in matrix]
     iterations = 0
     converged = False
     for iterations in range(1, MAX_ITERATIONS + 1):
-        inverse = [1.0 / (EPSILON + score) for score in _scores(matrix, weights)]
+        inverse = [1.0 / (EPSILON + score) for score in scores]
         total = sum(inverse)
         updated = [v / total for v in inverse]
-        delta = max(abs(u - w) for u, w in zip(updated, weights))
+        delta = max(map(abs, map(sub, updated, weights)))
         weights = updated
+        scores = [sum(map(mul, row, weights)) for row in matrix]
         if delta < TOLERANCE:
             converged = True
             break
 
-    scores = _scores(matrix, weights)
     best = min(scores)
     index = next(i for i, score in enumerate(scores) if score - best <= TIE_TOLERANCE)
     return RasaSelection(

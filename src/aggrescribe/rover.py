@@ -76,9 +76,19 @@ class ConsensusResult(Record):
         _set(self, "per_slot_winner", per_slot_winner)
 
 
-def tokenize(text: str, level: Granularity) -> list[str]:
+def tokenize(text: str, level: Granularity | str) -> list[str]:
     """Character level yields Unicode scalars (spaces included); word level
-    yields maximal non-whitespace runs."""
+    yields maximal non-whitespace runs.
+
+    ``level``, here and in ``vote`` and ``rover_consensus``, is a member or
+    its value (``"char"``). A member costs one class identity test; a value
+    goes through ``Granularity`` once.
+
+    Raises:
+        ValueError: if ``level`` is neither a member nor a member's value.
+    """
+    if level.__class__ is not Granularity:
+        level = Granularity(level)
     if level is Granularity.CHARACTER:
         return list(text)
     return text.split()
@@ -162,8 +172,16 @@ def build_lattice(sequences: Sequence[Sequence[str]]) -> TokenLattice:
     return TokenLattice(slots=tuple(slots), num_inputs=merged)
 
 
-def vote(lattice: TokenLattice, level: Granularity = Granularity.CHARACTER) -> ConsensusResult:
-    """Pick each slot's plurality entry and join the non-null winners."""
+def vote(
+    lattice: TokenLattice, level: Granularity | str = Granularity.CHARACTER
+) -> ConsensusResult:
+    """Pick each slot's plurality entry and join the non-null winners.
+
+    Raises:
+        ValueError: if ``level`` is neither a member nor a member's value.
+    """
+    if level.__class__ is not Granularity:
+        level = Granularity(level)
     winners: list[str | None] = []
     for slot in lattice.slots:
         if len(slot) == 1:
@@ -182,7 +200,7 @@ def vote(lattice: TokenLattice, level: Granularity = Granularity.CHARACTER) -> C
 
 
 def rover_consensus(
-    texts: Sequence[str], level: Granularity = Granularity.CHARACTER
+    texts: Sequence[str], level: Granularity | str = Granularity.CHARACTER
 ) -> ConsensusResult:
     """Consensus text for a list of transcriptions.
 
@@ -190,7 +208,7 @@ def rover_consensus(
     corpus-level callers should pass texts in the canonical order.
 
     Raises:
-        ValueError: if the list is empty.
+        ValueError: if the list is empty, or ``level`` is not a granularity.
     """
     if not texts:
         raise ValueError("rover_consensus requires at least one text")

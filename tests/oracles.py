@@ -4,7 +4,8 @@ These deliberately avoid the library's fast code paths: the edit distance
 is a memoized top-down recursion, and the consensus oracle is a direct
 per-position count. Expected values frozen in the test modules were computed
 with these. The other references are the code the library ran before its
-faster replacements: the numpy RASA iteration, the two-row edit-distance DP,
+faster replacements: the numpy RASA iteration, the plain-float RASA
+iteration with its per-round ``_scores`` helper, the two-row edit-distance DP,
 the full-table lattice merge, the manifest parser, manifest writer and
 emission code that ran before the one-pass parser and the direct JSON writer,
 and the split rules as they were when they returned ``line_id`` → ``Split``
@@ -35,7 +36,14 @@ from aggrescribe.corpus import (
     canonical_transcriptions,
 )
 from aggrescribe.metrics import sym_char_distance
-from aggrescribe.rasa import EPSILON, MAX_ITERATIONS, TOLERANCE, RasaSelection
+from aggrescribe.rasa import (
+    EPSILON,
+    MAX_ITERATIONS,
+    TIE_TOLERANCE,
+    TOLERANCE,
+    RasaSelection,
+    distance_matrix,
+)
 from aggrescribe.rover import NULL
 from aggrescribe.splits import VALIDATION_BAND, SeededRng
 
@@ -122,6 +130,46 @@ def numpy_rasa_select(texts) -> tuple[RasaSelection, list[float]]:
         converged=converged,
     )
     return selection, final_scores.tolist()
+
+
+def _scores(matrix: list[list[float]], weights: list[float]) -> list[float]:
+    # Each candidate's weighted sum of distances to the others.
+    return [sum(d * w for d, w in zip(row, weights)) for row in matrix]
+
+
+def reference_rasa_select(texts: Sequence[str]) -> RasaSelection:
+    """The plain-float RASA loop as it was before the scores were computed
+    in one place: ``_scores`` builds them at the top of every round and
+    once more for the pick."""
+    if not texts:
+        raise ValueError("rasa_select requires at least one text")
+    n = len(texts)
+    if n == 1:
+        return RasaSelection(index=0, weights=(1.0,), iterations=0, converged=True)
+
+    matrix = distance_matrix(texts)
+    weights = [1.0 / n] * n
+    iterations = 0
+    converged = False
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        inverse = [1.0 / (EPSILON + score) for score in _scores(matrix, weights)]
+        total = sum(inverse)
+        updated = [v / total for v in inverse]
+        delta = max(abs(u - w) for u, w in zip(updated, weights))
+        weights = updated
+        if delta < TOLERANCE:
+            converged = True
+            break
+
+    scores = _scores(matrix, weights)
+    best = min(scores)
+    index = next(i for i, score in enumerate(scores) if score - best <= TIE_TOLERANCE)
+    return RasaSelection(
+        index=index,
+        weights=tuple(weights),
+        iterations=iterations,
+        converged=converged,
+    )
 
 
 def full_table_merge(slots: list[Counter], merged: int, seq: Sequence[str]) -> list[Counter]:

@@ -380,5 +380,5 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
         10,
         ok,
         f"pipeline on the 50-line fixture: {len(same)}/{len(single)} outputs "
-        "byte-identical across 1-thread and 4-thread runs",
+        "byte-identical across 1-worker and 4-worker runs",
     )

@@ -114,6 +114,16 @@ class TestEmitCounts:
         second = emit(corpus, Strategy.RANDOM_ONE, seed=5)
         assert first == second
 
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda strategy: strategy.value)
+    def test_value_acts_as_member(self, strategy):
+        corpus = Corpus(tuple(full_line(f"L{i}") for i in range(25)))
+        assert emit(corpus, strategy.value, seed=5) == emit(corpus, strategy, seed=5)
+
+    @pytest.mark.parametrize("strategy", ["bogus", "RANDOM_ONE", None])
+    def test_unknown_strategy_rejected(self, strategy):
+        with pytest.raises(ValueError):
+            emit(Corpus((full_line("A"),)), strategy)
+
     @given(st.integers(min_value=0, max_value=2**32))
     def test_text_provenance(self, seed):
         corpus = Corpus(tuple(full_line(f"L{i}") for i in range(5)))

@@ -1,14 +1,23 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aggrescribe import SourceKind, distance_matrix, rasa_select
 from aggrescribe.rasa import MAX_ITERATIONS, selected_transcription
-from oracles import numpy_rasa_select
+from oracles import numpy_rasa_select, reference_rasa_select
 
 texts = st.lists(st.text(alphabet="abc ", max_size=8), min_size=1, max_size=6)
+
+
+@st.composite
+def candidate_lists(draw):
+    """1-6 readings over an alphabet of 1-5 letters, drawn from a smaller pool
+    so that exact duplicates are common; readings may be empty."""
+    alphabet = "abcde"[: draw(st.integers(min_value=1, max_value=5))]
+    pool = draw(st.lists(st.text(alphabet=alphabet, max_size=10), min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
 
 
 class TestDistanceMatrix:
@@ -78,6 +87,17 @@ class TestRasaSelect:
         assert pick.weights == pytest.approx(reference.weights, rel=0, abs=1e-12)
         lowest_tied = next(i for i, s in enumerate(scores) if s <= min(scores) + 1e-9)
         assert pick.index == lowest_tied
+
+    @settings(max_examples=500)
+    @given(candidate_lists())
+    @example(["", ""])
+    @example(["", "a", "a"])
+    @example(["ab", "ab", "ba", "b"])
+    def test_matches_reference_loop_bit_for_bit(self, inputs):
+        pick, reference = rasa_select(inputs), reference_rasa_select(inputs)
+        assert pick.index == reference.index
+        assert pick.weights == reference.weights
+        assert (pick.iterations, pick.converged) == (reference.iterations, reference.converged)
 
     @given(texts)
     def test_membership_and_weight_simplex(self, inputs):

@@ -60,6 +60,33 @@ class TestTokenize:
         assert tokenize("", CHAR) == []
 
 
+class TestLevelValues:
+    """A level given by its value acts as its member; any other value raises."""
+
+    def test_char_value_is_character_level(self):
+        assert tokenize("ab c", "char") == ["a", "b", " ", "c"]
+        assert rover_consensus(["abc", "abd", "xbd"], "char").text == "abd"
+
+    @pytest.mark.parametrize("level", list(Granularity), ids=lambda level: level.value)
+    def test_value_acts_as_member(self, level):
+        texts = ["ab c", "abd c", "xbd"]
+        assert tokenize(texts[0], level.value) == tokenize(texts[0], level)
+        lattice = build_lattice([tokenize(t, level) for t in texts])
+        assert vote(lattice, level.value) == vote(lattice, level)
+        assert rover_consensus(texts, level.value) == rover_consensus(texts, level)
+
+    @pytest.mark.parametrize("level", ["bogus", "CHARACTER", "Char", None])
+    def test_unknown_level_rejected(self, level):
+        lattice = build_lattice([["a"], ["b"]])
+        for step in (
+            lambda: tokenize("ab c", level),
+            lambda: vote(lattice, level),
+            lambda: rover_consensus(["ab", "ac"], level),
+        ):
+            with pytest.raises(ValueError):
+                step()
+
+
 class TestBuildLattice:
     def test_single_sequence(self):
         lattice = build_lattice([["c", "a", "t"]])
