@@ -62,6 +62,11 @@ class EmissionRecord(Record):
 
 _FILENAMES = {Split.TRAIN: "train.tsv", Split.VALIDATION: "val.tsv", Split.TEST: "test.tsv"}
 
+# Members bound once, in definition order: an enum class attribute costs a
+# lookup per use.
+_RANDOM_ONE, _RASA_ONE, _ROVER_ONE, _ALL_HUMAN, _ALL_HUMAN_AUTO, _ = Strategy
+_RASA, _ROVER, _TEST = SourceKind.AGGREGATE_RASA, SourceKind.AGGREGATE_ROVER, Split.TEST
+
 
 def _aggregate(line: TranscribedLine, kind: SourceKind) -> Transcription:
     for t in line.transcriptions:
@@ -75,20 +80,20 @@ def _aggregate(line: TranscribedLine, kind: SourceKind) -> Transcription:
 
 def _select(line: TranscribedLine, strategy: Strategy, rng: SeededRng) -> list[Transcription]:
     humans = list(line.human_transcriptions)
-    if strategy is Strategy.RANDOM_ONE:
+    if strategy is _RANDOM_ONE:
         return [humans[rng.randbelow(len(humans))]]
-    if strategy is Strategy.RASA_ONE:
-        return [_aggregate(line, SourceKind.AGGREGATE_RASA)]
-    if strategy is Strategy.ROVER_ONE:
-        return [_aggregate(line, SourceKind.AGGREGATE_ROVER)]
-    if strategy is Strategy.ALL_HUMAN:
+    if strategy is _RASA_ONE:
+        return [_aggregate(line, _RASA)]
+    if strategy is _ROVER_ONE:
+        return [_aggregate(line, _ROVER)]
+    if strategy is _ALL_HUMAN:
         return humans
-    if strategy is Strategy.ALL_HUMAN_AUTO:
+    if strategy is _ALL_HUMAN_AUTO:
         return list(canonical_transcriptions(line))
     # ALL_WITH_AGGREGATES: 1-2 human + autos + both aggregates, duplicates kept
     return list(canonical_transcriptions(line)) + [
-        _aggregate(line, SourceKind.AGGREGATE_RASA),
-        _aggregate(line, SourceKind.AGGREGATE_ROVER),
+        _aggregate(line, _RASA),
+        _aggregate(line, _ROVER),
     ]
 
 
@@ -113,7 +118,7 @@ def emit(corpus: Corpus, strategy: Strategy | str, seed: int = 0) -> list[Emissi
     for line in corpus.lines:
         if line.split is None:
             raise ManifestError(f"line {line.line_id!r} has no split annotation")
-        if line.split is Split.TEST:
+        if line.split is _TEST:
             chosen: Sequence[Transcription] = line.human_transcriptions[:1]
         else:
             chosen = _select(line, strategy, rng)

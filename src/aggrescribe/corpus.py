@@ -80,15 +80,20 @@ def _refuse_lone_surrogate(field: str, value: str) -> None:
 _CANONICAL_ORDER = (SourceKind.HUMAN, SourceKind.AUTO_PYLAIA, SourceKind.AUTO_DAN)
 
 
-def normalize_text(text: str) -> str:
-    """NFC-normalize, trim, and collapse internal whitespace runs."""
+def _normalize(text: str) -> tuple[str, bool]:
+    """``normalize_text``'s result, and whether it is known to be printable."""
     text = unicodedata.normalize("NFC", text)
     # Space is the only printable character ``str.split`` splits at, so a
     # printable text without a doubled, leading or trailing space is already
     # what splitting and joining it would give.
     if text.isprintable() and "  " not in text and text.strip(" ") == text:
-        return text
-    return " ".join(text.split())
+        return text, True
+    return " ".join(text.split()), False
+
+
+def normalize_text(text: str) -> str:
+    """NFC-normalize, trim, and collapse internal whitespace runs."""
+    return _normalize(text)[0]
 
 
 #: How a record's ``__init__`` sets its fields past ``Record.__setattr__``.
@@ -160,10 +165,10 @@ class Transcription(Record):
     __slots__ = ("text", "source", "uncertain")
 
     def __init__(self, text: str, source: TranscriptionSource, uncertain: bool = False) -> None:
-        cleaned = normalize_text(text)
+        cleaned, printable = _normalize(text)
         if not cleaned:
             raise ValueError("transcription text is empty after normalization")
-        if not cleaned.isprintable():
+        if not (printable or cleaned.isprintable()):
             _refuse_lone_surrogate("text", cleaned)
         _set(self, "text", cleaned)
         _set(self, "source", source)
@@ -232,7 +237,7 @@ class TranscribedLine(Record):
 
     @property
     def human_transcriptions(self) -> tuple[Transcription, ...]:
-        return self.of_kind(SourceKind.HUMAN)
+        return self.of_kind(_HUMAN)
 
     def with_aggregate(self, transcription: Transcription) -> "TranscribedLine":
         """Append an aggregate transcription, replacing any existing one of
@@ -521,7 +526,7 @@ def corpus_stats(corpus: Corpus) -> StatsReport:
         humans = 0
         for t in line.transcriptions:
             per_source[t.source.kind.value] += 1
-            if t.source.kind is SourceKind.HUMAN:
+            if t.source.kind is _HUMAN:
                 humans += 1
         if humans == 2:
             two_human += 1

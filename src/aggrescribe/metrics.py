@@ -7,10 +7,10 @@ callers pass the lists produced by ``str.split()``.
 The rates, and through them RASA, the agreement score and the agreement
 split, all count edits with one kernel: Myers' bit-vector algorithm in
 Hyyrö's formulation (Myers 1999; Hyyrö 2003). It first trims the prefix and
-suffix the two inputs share, which leaves the distance unchanged, then
-computes the distance of the middles a column at a time, with one Python int
-per bit vector, in one big-int step per token of the longer middle.
-Near-identical readings thus cost a few steps, not one per character.
+suffix the two inputs share, which leaves the distance unchanged, then runs
+the middles a column at a time, one Python int per bit vector and one big-int
+step per token of the longer middle, and reads the distance off the final
+vectors. Near-identical readings thus cost a few steps, not one per character.
 """
 
 from __future__ import annotations
@@ -33,32 +33,24 @@ def _distance(a: Sequence[str], b: Sequence[str]) -> int:
     a, b = a[start : m - end], b[start : n - end]
     # Bit-parallel Levenshtein distance (Hyyrö 2003). Bit i of the vectors
     # stands for row i of the DP column over the shorter sequence, the
-    # pattern; pv/mv mark the rows whose vertical delta is +1/-1. ``score``
-    # follows the last row, which ends at the distance.
-    m = len(a)
-    if not m:
-        return len(b)
+    # pattern; pv/mv mark the rows whose vertical delta is +1/-1.
     peq: dict = {}
     for i, token in enumerate(a):
         peq[token] = peq.get(token, 0) | 1 << i
-    mask = (1 << m) - 1
-    last = 1 << (m - 1)
-    pv, mv, score = mask, 0, m
+    mask = (1 << len(a)) - 1
+    pv, mv = mask, 0
     for token in b:
         eq = peq.get(token, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv)
         mh = pv & xh
-        if ph & last:
-            score += 1
-        elif mh & last:
-            score -= 1
         # Row 0 of a global alignment grows by one per column.
         ph = ph << 1 | 1
         pv = (mh << 1 | ~(xv | ph)) & mask
         mv = ph & xv
-    return score
+    # Row 0 ends at len(b); the last column's vertical deltas add the rest.
+    return len(b) + pv.bit_count() - mv.bit_count()
 
 
 def cer(hypothesis: str, reference: str) -> float:

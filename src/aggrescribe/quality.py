@@ -13,7 +13,7 @@ import math
 
 from .corpus import TranscribedLine, canonical_transcriptions
 from .metrics import sym_char_distance
-from .rover import Granularity, rover_consensus
+from .rover import _CHARACTER, rover_consensus
 
 
 def agreement_score(line: TranscribedLine) -> float:
@@ -23,6 +23,6 @@ def agreement_score(line: TranscribedLine) -> float:
     never influence the score.
     """
     texts = [t.text for t in canonical_transcriptions(line)]
-    consensus = rover_consensus(texts, Granularity.CHARACTER).text
+    consensus = rover_consensus(texts, _CHARACTER).text
     mean_distance = math.fsum(sym_char_distance(text, consensus) for text in texts) / len(texts)
     return 100.0 * (1.0 - mean_distance)

@@ -43,6 +43,8 @@ TOLERANCE = 1e-6
 #: differ are, on lines of practical length, far further apart.
 TIE_TOLERANCE = 1e-9
 
+_RASA = SourceKind.AGGREGATE_RASA  # bound once: an enum class attribute costs a lookup per use
+
 
 class RasaSelection(Record):
     """Chosen input index plus the final per-candidate reliability weights.
@@ -127,6 +129,4 @@ def selected_transcription(line: TranscribedLine) -> Transcription:
     aggregate source."""
     texts = [t.text for t in canonical_transcriptions(line)]
     pick = rasa_select(texts)
-    return Transcription(
-        text=texts[pick.index], source=TranscriptionSource(SourceKind.AGGREGATE_RASA)
-    )
+    return Transcription(text=texts[pick.index], source=TranscriptionSource(_RASA))

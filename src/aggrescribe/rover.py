@@ -50,6 +50,11 @@ class Granularity(Enum):
     WORD = "word"
 
 
+# Members bound once: an enum class attribute costs a lookup per use.
+_CHARACTER = Granularity.CHARACTER
+_ROVER = SourceKind.AGGREGATE_ROVER
+
+
 class TokenLattice(Record):
     """Ordered slots of competing tokens.
 
@@ -89,7 +94,7 @@ def tokenize(text: str, level: Granularity | str) -> list[str]:
     """
     if level.__class__ is not Granularity:
         level = Granularity(level)
-    if level is Granularity.CHARACTER:
+    if level is _CHARACTER:
         return list(text)
     return text.split()
 
@@ -191,7 +196,7 @@ def vote(
         tied = [t for t, count in slot.items() if count == top and t is not NULL]
         winners.append(min(tied) if tied else NULL)
     emitted = [w for w in winners if w is not NULL]
-    joiner = "" if level is Granularity.CHARACTER else " "
+    joiner = "" if level is _CHARACTER else " "
     return ConsensusResult(
         text=joiner.join(emitted),
         lattice=lattice,
@@ -229,6 +234,6 @@ def consensus_transcription(
     texts = [t.text for t in canonical_transcriptions(line)]
     text = rover_consensus(texts, level).text
     try:
-        return Transcription(text=text, source=TranscriptionSource(SourceKind.AGGREGATE_ROVER))
+        return Transcription(text=text, source=TranscriptionSource(_ROVER))
     except ValueError:
         raise ManifestError(f"consensus for line {line.line_id!r} is empty") from None

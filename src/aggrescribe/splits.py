@@ -22,6 +22,8 @@ VALIDATION_BAND = 0.05
 
 _MASK64 = (1 << 64) - 1
 
+_TRAIN, _VALIDATION, _TEST = Split  # bound once: an enum class attribute costs a lookup per use
+
 
 class SeededRng:
     """splitmix64 stream; identical output on every platform for a seed."""
@@ -60,13 +62,13 @@ def agreement_split(corpus: Corpus) -> list[Split]:
     splits = []
     for line in corpus.lines:
         humans = line.human_transcriptions
-        split = Split.TRAIN
+        split = _TRAIN
         if len(humans) == 2:
             distance = sym_char_distance(humans[0].text, humans[1].text)
             if distance == 0.0:
-                split = Split.TEST
+                split = _TEST
             elif distance < VALIDATION_BAND:
-                split = Split.VALIDATION
+                split = _VALIDATION
         splits.append(split)
     return splits
 
@@ -90,9 +92,9 @@ def random_split(corpus: Corpus, sizes: tuple[int, int, int], seed: int) -> list
         )
     order = list(range(len(corpus.lines)))
     SeededRng(seed).shuffle(order)
-    splits = [Split.TEST] * len(order)
+    splits = [_TEST] * len(order)
     for position, index in enumerate(order[: train + validation]):
-        splits[index] = Split.TRAIN if position < train else Split.VALIDATION
+        splits[index] = _TRAIN if position < train else _VALIDATION
     return splits
 
 
@@ -130,7 +132,7 @@ def filter_by_agreement(corpus: Corpus, threshold: float) -> Corpus:
     for line in corpus.lines:
         if line.split is None:
             raise ManifestError(f"line {line.line_id!r} has no split annotation")
-        if line.split is not Split.TRAIN:
+        if line.split is not _TRAIN:
             kept.append(line)
             continue
         if line.agreement is None:
