@@ -13,7 +13,10 @@ from enum import Enum
 from pathlib import Path
 
 from .corpus import (
+    _RASA,
+    _ROVER,
     _ROW_BREAK,
+    _TEST,
     _breaks_row,
     _refuse_lone_surrogate,
     ManifestError,
@@ -65,7 +68,6 @@ _FILENAMES = {Split.TRAIN: "train.tsv", Split.VALIDATION: "val.tsv", Split.TEST:
 # Members bound once, in definition order: an enum class attribute costs a
 # lookup per use.
 _RANDOM_ONE, _RASA_ONE, _ROVER_ONE, _ALL_HUMAN, _ALL_HUMAN_AUTO, _ = Strategy
-_RASA, _ROVER, _TEST = SourceKind.AGGREGATE_RASA, SourceKind.AGGREGATE_ROVER, Split.TEST
 
 
 def _aggregate(line: TranscribedLine, kind: SourceKind) -> Transcription:

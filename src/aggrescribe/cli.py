@@ -393,19 +393,18 @@ def cmd_filter(args: argparse.Namespace) -> dict:
 
 
 def cmd_emit(args: argparse.Namespace) -> dict:
-    _bind("Strategy", "emit", "write_ground_truth", "split_counts")
+    _bind("emit", "write_ground_truth", "split_counts")
     stage = _Stage(args)
-    strategy = Strategy(args.strategy)
-    records = emit(stage.corpus, strategy, seed=args.seed)
+    records = emit(stage.corpus, args.strategy, seed=args.seed)
     counts = {split.value: n for split, n in split_counts(r.split for r in records).items()}
     stage.lap("compute_s")
     write_ground_truth(records, args.out)
-    summary = {"strategy": strategy.value, "seed": args.seed, "counts": counts}
+    summary = {"strategy": args.strategy, "seed": args.seed, "counts": counts}
     atomic_write_text(Path(args.out) / "summary.json", json.dumps(summary) + "\n")
     stage.lap("write_s")
     _print_table(
         [
-            ("Strategy", strategy.value),
+            ("Strategy", args.strategy),
             ("Train records", f"{counts['train']}"),
             ("Validation records", f"{counts['val']}"),
             ("Test records", f"{counts['test']}"),

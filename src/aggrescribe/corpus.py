@@ -49,9 +49,10 @@ class Split(Enum):
 _KIND_BY_TAG = {kind.value: kind for kind in SourceKind}
 _SPLIT_BY_NAME = {split.value: split for split in Split}
 
-AGGREGATE_KINDS = frozenset({SourceKind.AGGREGATE_ROVER, SourceKind.AGGREGATE_RASA})
-
-_HUMAN = SourceKind.HUMAN  # bound once: an enum class attribute costs a lookup per use
+# Members bound once, in definition order, for this package's modules to
+# import: an enum class attribute costs a lookup per use.
+_HUMAN, _PYLAIA, _DAN, _ROVER, _RASA = SourceKind
+_TRAIN, _VALIDATION, _TEST = Split
 
 #: What a value ``_breaks_row`` reports, as ``_ROW_BREAK.format(label, value)``.
 _ROW_BREAK = "{} {!r} contains a tab or newline and cannot be written as a TSV row"
@@ -73,11 +74,6 @@ def _refuse_lone_surrogate(field: str, value: str) -> None:
         value.encode("utf-8")
     except UnicodeEncodeError:
         raise ValueError(f"'{field}' contains an unpaired surrogate") from None
-
-
-# Fold order for consensus voting: humans in manifest order, then the two
-# automatic sources. Aggregates never vote.
-_CANONICAL_ORDER = (SourceKind.HUMAN, SourceKind.AUTO_PYLAIA, SourceKind.AUTO_DAN)
 
 
 def _normalize(text: str) -> tuple[str, bool]:
@@ -233,7 +229,8 @@ class TranscribedLine(Record):
         _set(self, "agreement", agreement)
 
     def of_kind(self, kind: SourceKind) -> tuple[Transcription, ...]:
-        return tuple(t for t in self.transcriptions if t.source.kind is kind)
+        # A list, not a generator: ``tuple`` of a generator resumes it per item.
+        return tuple([t for t in self.transcriptions if t.source.kind is kind])
 
     @property
     def human_transcriptions(self) -> tuple[Transcription, ...]:
@@ -243,7 +240,7 @@ class TranscribedLine(Record):
         """Append an aggregate transcription, replacing any existing one of
         the same kind so re-running an aggregation step stays idempotent."""
         kind = transcription.source.kind
-        if kind not in AGGREGATE_KINDS:
+        if kind is not _ROVER and kind is not _RASA:
             raise ValueError(f"{kind.value} is not an aggregate source")
         kept = tuple(t for t in self.transcriptions if t.source.kind is not kind)
         return self._replace(transcriptions=kept + (transcription,))
@@ -278,11 +275,9 @@ class Corpus(Record):
 
 def canonical_transcriptions(line: TranscribedLine) -> tuple[Transcription, ...]:
     """Transcriptions that participate in voting, in the canonical fold
-    order: human (manifest order), then auto:pylaia, then auto:dan."""
-    out: list[Transcription] = []
-    for kind in _CANONICAL_ORDER:
-        out.extend(t for t in line.transcriptions if t.source.kind is kind)
-    return tuple(out)
+    order: human (manifest order), then auto:pylaia, then auto:dan.
+    Aggregates never vote."""
+    return line.of_kind(_HUMAN) + line.of_kind(_PYLAIA) + line.of_kind(_DAN)
 
 
 #: The characters JSON counts as whitespace. A manifest line made of these
@@ -525,7 +520,7 @@ def corpus_stats(corpus: Corpus) -> StatsReport:
         per_line[len(line.transcriptions)] += 1
         humans = 0
         for t in line.transcriptions:
-            per_source[t.source.kind.value] += 1
+            per_source[t.source.kind._value_] += 1
             if t.source.kind is _HUMAN:
                 humans += 1
         if humans == 2:

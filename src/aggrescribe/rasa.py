@@ -21,8 +21,8 @@ from operator import mul, sub
 
 from .metrics import sym_char_distance
 from .corpus import (
+    _RASA,
     Record,
-    SourceKind,
     TranscribedLine,
     Transcription,
     TranscriptionSource,
@@ -43,7 +43,8 @@ TOLERANCE = 1e-6
 #: differ are, on lines of practical length, far further apart.
 TIE_TOLERANCE = 1e-9
 
-_RASA = SourceKind.AGGREGATE_RASA  # bound once: an enum class attribute costs a lookup per use
+#: The source of every selected transcription, built once.
+_SOURCE = TranscriptionSource(_RASA)
 
 
 class RasaSelection(Record):
@@ -129,4 +130,4 @@ def selected_transcription(line: TranscribedLine) -> Transcription:
     aggregate source."""
     texts = [t.text for t in canonical_transcriptions(line)]
     pick = rasa_select(texts)
-    return Transcription(text=texts[pick.index], source=TranscriptionSource(_RASA))
+    return Transcription(text=texts[pick.index], source=_SOURCE)

@@ -31,9 +31,9 @@ from collections.abc import Sequence
 from enum import Enum
 
 from .corpus import (
+    _ROVER,
     ManifestError,
     Record,
-    SourceKind,
     TranscribedLine,
     Transcription,
     TranscriptionSource,
@@ -50,9 +50,11 @@ class Granularity(Enum):
     WORD = "word"
 
 
-# Members bound once: an enum class attribute costs a lookup per use.
+# A member bound once: an enum class attribute costs a lookup per use.
 _CHARACTER = Granularity.CHARACTER
-_ROVER = SourceKind.AGGREGATE_ROVER
+
+#: The source of every consensus transcription, built once.
+_SOURCE = TranscriptionSource(_ROVER)
 
 
 class TokenLattice(Record):
@@ -234,6 +236,6 @@ def consensus_transcription(
     texts = [t.text for t in canonical_transcriptions(line)]
     text = rover_consensus(texts, level).text
     try:
-        return Transcription(text=text, source=TranscriptionSource(_ROVER))
+        return Transcription(text=text, source=_SOURCE)
     except ValueError:
         raise ManifestError(f"consensus for line {line.line_id!r} is empty") from None

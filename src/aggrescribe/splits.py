@@ -14,15 +14,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable, MutableSequence, Sequence
 
-from .corpus import Corpus, ManifestError, Split
+from .corpus import _TEST, _TRAIN, _VALIDATION, Corpus, ManifestError, Split
 from .metrics import sym_char_distance
 
 #: Two human transcriptions closer than this (but not identical) validate.
 VALIDATION_BAND = 0.05
 
 _MASK64 = (1 << 64) - 1
-
-_TRAIN, _VALIDATION, _TEST = Split  # bound once: an enum class attribute costs a lookup per use
 
 
 class SeededRng:

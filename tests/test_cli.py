@@ -322,6 +322,16 @@ class TestPipeline:
         code = run("emit", FIXTURE, "--strategy", "all-human", "--out", gt)
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("strategy", ["random-one", "all-human-auto"])
+    def test_emit_reports_its_strategy(self, strategy, scored, tmp_path, capsys):
+        # stdout, the --json summary and summary.json each name the flag's value.
+        gt = tmp_path / "gt"
+        assert run("--json", "emit", scored, "--strategy", strategy, "--out", gt) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0].split() == ["Strategy", strategy]
+        assert json.loads(captured.err)["strategy"] == strategy
+        assert json.loads((gt / "summary.json").read_text())["strategy"] == strategy
+
     def test_filter_without_agreement_is_validation_error(self, tmp_path, capsys):
         split = tmp_path / "split.jsonl"
         out = tmp_path / "f.jsonl"
