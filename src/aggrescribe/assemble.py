@@ -129,9 +129,10 @@ def emit(corpus: Corpus, strategy: Strategy | str, seed: int = 0) -> list[Emissi
     return records
 
 
-def write_ground_truth(records: Sequence[EmissionRecord], directory: str | Path) -> None:
+def write_ground_truth(records: Sequence[EmissionRecord], directory: str | Path) -> dict[str, int]:
     """Write ``train.tsv``, ``val.tsv`` and ``test.tsv`` (one
-    ``image<TAB>text`` row per record, record order preserved).
+    ``image<TAB>text`` row per record, record order preserved) and return
+    the rows written per split value, in train/val/test order.
 
     All three files are written even when empty. Every ``EmissionRecord``
     fits its row, so nothing is checked here.
@@ -144,3 +145,4 @@ def write_ground_truth(records: Sequence[EmissionRecord], directory: str | Path)
         buckets[record.split._value_].append(f"{record.image_ref}\t{record.text}\n")
     for split, filename in _FILENAMES.items():
         atomic_write_text(directory / filename, "".join(buckets[split.value]))
+    return {value: len(rows) for value, rows in buckets.items()}

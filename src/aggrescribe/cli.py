@@ -313,7 +313,15 @@ def cmd_aggregate(args: argparse.Namespace) -> dict:
     aggregates = _map_lines(per_line, lines, threads)
     stage.write(Corpus(tuple(line.with_aggregate(t) for line, t in zip(lines, aggregates))))
     print(f"aggregated {len(lines)} lines with {args.method} -> {args.output}")
-    return stage.summary(method=args.method, level=level, lines=len(lines))
+    # An uncertain aggregate is an empty vote's fallback to the first reading.
+    fallbacks = [line.line_id for line, t in zip(lines, aggregates) if t.uncertain]
+    return stage.summary(
+        method=args.method,
+        level=level,
+        lines=len(lines),
+        fallback_lines=len(fallbacks),
+        fallback_line_ids=fallbacks[:5],
+    )
 
 
 def cmd_agree(args: argparse.Namespace) -> dict:
@@ -393,12 +401,11 @@ def cmd_filter(args: argparse.Namespace) -> dict:
 
 
 def cmd_emit(args: argparse.Namespace) -> dict:
-    _bind("emit", "write_ground_truth", "split_counts")
+    _bind("emit", "write_ground_truth")
     stage = _Stage(args)
     records = emit(stage.corpus, args.strategy, seed=args.seed)
-    counts = {split.value: n for split, n in split_counts(r.split for r in records).items()}
     stage.lap("compute_s")
-    write_ground_truth(records, args.out)
+    counts = write_ground_truth(records, args.out)
     summary = {"strategy": args.strategy, "seed": args.seed, "counts": counts}
     atomic_write_text(Path(args.out) / "summary.json", json.dumps(summary) + "\n")
     stage.lap("write_s")

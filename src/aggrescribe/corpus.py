@@ -242,8 +242,8 @@ class TranscribedLine(Record):
         kind = transcription.source.kind
         if kind is not _ROVER and kind is not _RASA:
             raise ValueError(f"{kind.value} is not an aggregate source")
-        kept = tuple(t for t in self.transcriptions if t.source.kind is not kind)
-        return self._replace(transcriptions=kept + (transcription,))
+        kept = [t for t in self.transcriptions if t.source.kind is not kind]
+        return self._replace(transcriptions=(*kept, transcription))
 
     def with_split(self, split: Split) -> "TranscribedLine":
         return self._replace(split=split)

@@ -22,7 +22,8 @@ alone; equal lengths leave no gap and fill no table.
 Voting picks the highest-multiplicity entry of each slot. The null marker is
 eligible and wins only on strict plurality; among tied tokens the
 lexicographically smallest wins, so the consensus is deterministic and does
-not depend on slot-internal ordering.
+not depend on slot-internal ordering. A line whose vote leaves every slot
+empty keeps its first human reading, marked ``uncertain``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from enum import Enum
 
 from .corpus import (
     _ROVER,
-    ManifestError,
     Record,
     TranscribedLine,
     Transcription,
@@ -231,11 +231,10 @@ def rover_consensus(
 def consensus_transcription(
     line: TranscribedLine, level: Granularity = Granularity.CHARACTER
 ) -> Transcription:
-    """Consensus over a line's human and automatic transcriptions, tagged as
-    an aggregate source."""
+    """Consensus over a line's canonical readings, as an aggregate source;
+    an empty vote gives the first reading, marked ``uncertain``."""
     texts = [t.text for t in canonical_transcriptions(line)]
-    text = rover_consensus(texts, level).text
     try:
-        return Transcription(text=text, source=_SOURCE)
-    except ValueError:
-        raise ManifestError(f"consensus for line {line.line_id!r} is empty") from None
+        return Transcription(text=rover_consensus(texts, level).text, source=_SOURCE)
+    except ValueError:  # the vote is empty
+        return Transcription(text=texts[0], source=_SOURCE, uncertain=True)

@@ -479,10 +479,10 @@ def reference_emit(corpus: Corpus, strategy: Strategy, seed: int = 0) -> list[Em
 _FILENAMES = {Split.TRAIN: "train.tsv", Split.VALIDATION: "val.tsv", Split.TEST: "test.tsv"}
 
 
-def reference_write_ground_truth(records: Sequence[EmissionRecord], directory) -> None:
+def reference_write_ground_truth(records: Sequence[EmissionRecord], directory) -> dict[str, int]:
     """``assemble.write_ground_truth`` before it checked each image once per
     run of records sharing it: both fields of every record are checked for a
-    row break, in record order."""
+    row break, in record order. Returns the rows written per split value."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     buckets: dict[Split, list[str]] = {split: [] for split in Split}
@@ -496,6 +496,7 @@ def reference_write_ground_truth(records: Sequence[EmissionRecord], directory) -
         buckets[record.split].append(f"{record.image_ref}\t{record.text}\n")
     for split, filename in _FILENAMES.items():
         atomic_write_text(directory / filename, "".join(buckets[split]))
+    return {split.value: len(rows) for split, rows in buckets.items()}
 
 
 def reference_agreement_split(corpus: Corpus) -> dict[str, Split]:

@@ -7,16 +7,13 @@ from hypothesis import strategies as st
 from aggrescribe import (
     Corpus,
     EmissionRecord,
-    Granularity,
     ManifestError,
     SourceKind,
     Split,
     Strategy,
-    TranscribedLine,
     Transcription,
     TranscriptionSource,
     apply_split,
-    consensus_transcription,
     emit,
     filter_by_agreement,
     random_split,
@@ -135,7 +132,8 @@ class TestEmitCounts:
 
 class TestWriteGroundTruth:
     def test_zero_records_three_empty_files(self, tmp_path):
-        write_ground_truth([], tmp_path)
+        counts = write_ground_truth([], tmp_path)
+        assert list(counts.items()) == [("train", 0), ("val", 0), ("test", 0)]
         for name in ("train.tsv", "val.tsv", "test.tsv"):
             assert (tmp_path / name).read_bytes() == b""
 
@@ -155,7 +153,8 @@ class TestWriteGroundTruth:
             EmissionRecord("img/a.png", "deux", Split.TRAIN, human),
             EmissionRecord("img/b.png", "trois", Split.VALIDATION, human),
         ]
-        write_ground_truth(records, tmp_path)
+        counts = write_ground_truth(records, tmp_path)
+        assert list(counts.items()) == [("train", 2), ("val", 1), ("test", 0)]
         assert (tmp_path / "train.tsv").read_text(encoding="utf-8").splitlines() == [
             "img/a.png\tun",
             "img/a.png\tdeux",
@@ -289,23 +288,6 @@ def _one(line):
     return Corpus((line,))
 
 
-# Two human and three automatic readings whose word-level consensus is empty.
-_EMPTY_CONSENSUS = TranscribedLine(
-    "A",
-    "images/A.png",
-    tuple(
-        Transcription(text, TranscriptionSource(kind))
-        for text, kind in [
-            ("a ab b", SourceKind.HUMAN),
-            ("ab", SourceKind.HUMAN),
-            ("a", SourceKind.AUTO_PYLAIA),
-            ("bbab", SourceKind.AUTO_DAN),
-            ("bbb", SourceKind.AUTO_PYLAIA),
-        ]
-    ),
-)
-
-
 class TestErrorKinds:
     """A line a step cannot use raises ``ManifestError``, which the CLI reports
     as exit 2; a bad argument from the caller stays a plain ``ValueError``."""
@@ -323,12 +305,10 @@ class TestErrorKinds:
              "line 'A' has no aggregate:rover transcription"),
             (lambda: emit(_one(build_line("A", split=Split.TRAIN)), Strategy.ALL_WITH_AGGREGATES),
              "line 'A' has no aggregate:rasa transcription"),
-            (lambda: consensus_transcription(_EMPTY_CONSENSUS, Granularity.WORD),
-             "consensus for line 'A' is empty"),
         ],
         ids=[
             "filter-no-split", "filter-no-agreement", "emit-no-split", "emit-no-rover",
-            "emit-no-rasa", "rover-empty-consensus",
+            "emit-no-rasa",
         ],
     )
     def test_unusable_line_is_a_manifest_error(self, step, message):

@@ -164,7 +164,10 @@ _SUMMARY_KEYS = {
         "command", "lines", "two_human_lines", "two_human_share", "per_source",
         "transcriptions_per_line", "timings",
     ],
-    "aggregate": ["command", "method", "level", "lines", "output", "timings"],
+    "aggregate": [
+        "command", "method", "level", "lines", "fallback_lines", "fallback_line_ids", "output",
+        "timings",
+    ],
     "agree": ["command", "lines", "mean_agreement", "lines_at_100", "output", "timings"],
     "split": ["command", "mode", "seed", "counts", "output", "timings"],
     "filter": [
@@ -195,6 +198,8 @@ class TestJsonSummary:
             assert list(summary) == _SUMMARY_KEYS[argv[0]]
             if argv[0] in _WRITERS:
                 assert summary["output"] == argv[argv.index("-o") + 1]
+            if argv[0] == "aggregate":  # no line of the fixture votes empty
+                assert (summary["fallback_lines"], summary["fallback_line_ids"]) == (0, [])
             timings = summary["timings"]
             assert sorted(timings) == ["compute_s", "lines_per_s", "parse_s", "write_s"]
             assert min(timings.values()) >= 0
@@ -951,15 +956,15 @@ class TestManifestBoundary:
             _no_child_left()
 
     @pytest.mark.parametrize(
-        "order, threads",
-        [(["bad"], "1"), (["good", "bad"], "2"), (["bad", "good"], "2")],
+        "order",
+        [["bad"], ["good", "bad"], ["bad", "good"]],
         ids=["alone", "second-of-two-on-2-workers", "first-of-two-on-2-workers"],
     )
-    def test_empty_consensus_is_validation_error(
-        self, tmp_path, capsys, monkeypatch, order, threads
-    ):
-        # Two human and three automatic readings: a valid line whose
-        # word-level consensus votes every slot empty.
+    def test_empty_consensus_is_validation_error(self, tmp_path, capsys, monkeypatch, order):
+        # Named for the exit 2 this line gave before the fallback. Two human
+        # and three automatic readings: a valid line whose word-level
+        # consensus votes every slot empty, so its aggregate is its first
+        # reading, flagged uncertain, at any worker count.
         readings = [("a ab b", "human"), ("ab", "human"), ("a", "auto:pylaia"),
                     ("bbab", "auto:dan"), ("bbb", "auto:pylaia")]
         records = {
@@ -971,16 +976,24 @@ class TestManifestBoundary:
         }
         path = tmp_path / "in.jsonl"
         path.write_text("".join(json.dumps(records[k]) + "\n" for k in order), encoding="utf-8")
-        assert run("validate", path) == EXIT_OK
-        capsys.readouterr()
         _usable_cpus(monkeypatch, 2)
-        monkeypatch.setenv("AGGRESCRIBE_THREADS", threads)
-        out = tmp_path / "out.jsonl"
-        code = run("aggregate", path, "-o", out, "--method", "rover", "--level", "word")
-        assert code == EXIT_VALIDATION
-        assert capsys.readouterr().err == (
-            "aggrescribe: manifest error: consensus for line 'L1' is empty\n"
-        )
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
-        if hasattr(os, "fork"):
-            _no_child_left()
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("AGGRESCRIBE_THREADS", threads)
+            out = tmp_path / f"out.{threads}.jsonl"
+            argv = ("aggregate", path, "-o", out, "--method", "rover", "--level", "word")
+            assert run("--json", *argv) == EXIT_OK
+            summary = json.loads(capsys.readouterr().err)
+            assert (summary["fallback_lines"], summary["fallback_line_ids"]) == (1, ["L1"])
+            outputs.append(out.read_bytes())
+            if hasattr(os, "fork"):
+                _no_child_left()
+        assert outputs[1] == outputs[0]
+        aggregates = {
+            rec["line_id"]: rec["transcriptions"][-1]
+            for rec in map(json.loads, outputs[0].splitlines())
+        }
+        flagged = {"text": "a ab b", "source": "aggregate:rover", "uncertain": True}
+        assert aggregates["L1"] == flagged
+        if "good" in order:
+            assert aggregates["L0"] == {"text": "bonjour", "source": "aggregate:rover"}

@@ -7,7 +7,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from aggrescribe import SourceKind, Granularity, build_lattice, rover_consensus, tokenize, vote
+from aggrescribe import (
+    Granularity,
+    SourceKind,
+    TranscribedLine,
+    Transcription,
+    TranscriptionSource,
+    build_lattice,
+    canonical_transcriptions,
+    rover_consensus,
+    tokenize,
+    vote,
+)
 from aggrescribe.rover import NULL, TokenLattice, consensus_transcription
 from oracles import full_table_lattice, positional_consensus
 
@@ -46,6 +57,48 @@ def gapped_folds(draw):
                 del chars[draw(st.integers(0, len(chars) - 1))]
         readings.append("".join(chars))
     return readings
+
+
+_VOCABULARY = ("a", "ab", "b", "ba", "bb", "bbab")
+
+
+@st.composite
+def voting_lines(draw):
+    """A line of 3 to 6 readings, one or two of them human, each of 1 to 4
+    words from a six-word vocabulary: a few such lines vote empty at word
+    level."""
+    humans = draw(st.integers(1, 2))
+    total = draw(st.integers(3, 6))
+    kinds = [SourceKind.HUMAN] * humans + draw(
+        st.lists(
+            st.sampled_from([SourceKind.AUTO_PYLAIA, SourceKind.AUTO_DAN]),
+            min_size=total - humans,
+            max_size=total - humans,
+        )
+    )
+    words = st.lists(st.sampled_from(_VOCABULARY), min_size=1, max_size=4)
+    return TranscribedLine(
+        "L",
+        "images/L.png",
+        tuple(Transcription(" ".join(draw(words)), TranscriptionSource(k)) for k in kinds),
+    )
+
+
+# Two human and three automatic readings whose word-level vote is empty.
+_EMPTY_VOTE = TranscribedLine(
+    "L",
+    "images/L.png",
+    tuple(
+        Transcription(text, TranscriptionSource(kind))
+        for text, kind in [
+            ("a ab b", SourceKind.HUMAN),
+            ("ab", SourceKind.HUMAN),
+            ("a", SourceKind.AUTO_PYLAIA),
+            ("bbab", SourceKind.AUTO_DAN),
+            ("bbb", SourceKind.AUTO_PYLAIA),
+        ]
+    ),
+)
 
 
 class TestTokenize:
@@ -298,3 +351,15 @@ class TestLineConsensus:
     def test_existing_aggregates_do_not_vote(self, make_line):
         line = make_line("A", humans=("cat",), rover="dog", rasa="dog")
         assert consensus_transcription(line).text == "cat"
+
+    @given(line=voting_lines(), level=st.sampled_from([CHAR, WORD]))
+    @example(line=_EMPTY_VOTE, level=WORD)
+    def test_never_raises_and_flags_only_the_fallback(self, line, level):
+        texts = [t.text for t in canonical_transcriptions(line)]
+        voted = rover_consensus(texts, level).text
+        t = consensus_transcription(line, level)
+        assert t.source.kind is SourceKind.AGGREGATE_ROVER
+        if voted.split():
+            assert (t.text, t.uncertain) == (" ".join(voted.split()), False)
+        else:
+            assert (t.text, t.uncertain) == (texts[0], True)
