@@ -15,10 +15,8 @@ from pathlib import Path
 from .corpus import (
     _RASA,
     _ROVER,
-    _ROW_BREAK,
     _TEST,
-    _breaks_row,
-    _refuse_lone_surrogate,
+    _check_tsv_field,
     ManifestError,
     Record,
     SourceKind,
@@ -53,10 +51,8 @@ class EmissionRecord(Record):
         self, image_ref: str, text: str, split: Split, source: TranscriptionSource
     ) -> None:
         if not (image_ref.isprintable() and text.isprintable()):
-            for label, value in (("image_ref", image_ref), ("text", text)):
-                if _breaks_row(value):
-                    raise ValueError(_ROW_BREAK.format(label, value))
-                _refuse_lone_surrogate(label, value)
+            _check_tsv_field("image_ref", image_ref)
+            _check_tsv_field("text", text)
         _set(self, "image_ref", image_ref)
         _set(self, "text", text)
         _set(self, "split", split)

@@ -54,17 +54,18 @@ _SPLIT_BY_NAME = {split.value: split for split in Split}
 _HUMAN, _PYLAIA, _DAN, _ROVER, _RASA = SourceKind
 _TRAIN, _VALIDATION, _TEST = Split
 
-#: What a value ``_breaks_row`` reports, as ``_ROW_BREAK.format(label, value)``.
-_ROW_BREAK = "{} {!r} contains a tab or newline and cannot be written as a TSV row"
-
-
-def _breaks_row(value: str) -> bool:
-    """Whether ``value`` holds a tab or a character ``str.splitlines`` ends a
-    line at; any of them inside a field would split or shift a TSV row for
-    some reader. None of them is printable, so a printable value is fine."""
+def _check_tsv_field(field: str, value: str) -> None:
+    """Raise ``ValueError`` unless ``value`` fits one field of a TSV row: no
+    tab or character ``str.splitlines`` ends a line at, which would split or
+    shift the row for some reader, then no unpaired surrogate. None of them
+    is printable, so a printable value returns at once."""
     if value.isprintable():
-        return False
-    return "\t" in value or "".join(value.splitlines()) != value
+        return
+    if "\t" in value or "".join(value.splitlines()) != value:
+        raise ValueError(
+            f"'{field}' {value!r} contains a tab or newline and cannot be written as a TSV row"
+        )
+    _refuse_lone_surrogate(field, value)
 
 
 def _refuse_lone_surrogate(field: str, value: str) -> None:
@@ -175,11 +176,12 @@ class TranscribedLine(Record):
     """One text-line image with its set of candidate transcriptions.
 
     The constructor raises ``ValueError`` unless, in this order, ``line_id``
-    and ``image_ref`` are non-empty, the image fits a TSV field, ``agreement``
-    is ``None`` or a number in [0, 100] (kept as a float), the line holds one
-    or two human transcriptions, and ``line_id``, ``image_ref`` and
-    ``page_id`` hold no unpaired surrogate. So any line can be written, read
-    back and emitted, and no step checks for a missing human reading again.
+    and ``image_ref`` are non-empty, the image fits a TSV field (no tab, no
+    line break, no unpaired surrogate), ``agreement`` is ``None`` or a number
+    in [0, 100] (kept as a float), the line holds one or two human
+    transcriptions, and ``line_id`` and ``page_id`` hold no unpaired
+    surrogate. So any line can be written, read back and emitted, and no step
+    checks for a missing human reading again.
     """
 
     __slots__ = ("line_id", "image_ref", "transcriptions", "page_id", "split", "agreement")
@@ -198,8 +200,7 @@ class TranscribedLine(Record):
             raise ValueError("line_id must be non-empty")
         if not image_ref:
             raise ValueError("image_ref must be non-empty")
-        if _breaks_row(image_ref):
-            raise ValueError(_ROW_BREAK.format("'image'", image_ref))
+        _check_tsv_field("image", image_ref)
         if agreement.__class__ is not float and agreement is not None:
             if isinstance(agreement, bool) or not isinstance(agreement, (int, float)):
                 raise ValueError("'agreement' must be a number")
@@ -217,8 +218,6 @@ class TranscribedLine(Record):
             raise ValueError(f"expected 1 or 2 human transcriptions, found {humans}")
         if not line_id.isprintable():
             _refuse_lone_surrogate("line_id", line_id)
-        if not image_ref.isprintable():
-            _refuse_lone_surrogate("image", image_ref)
         if page_id is not None and not page_id.isprintable():
             _refuse_lone_surrogate("page_id", page_id)
         _set(self, "line_id", line_id)

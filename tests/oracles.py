@@ -240,7 +240,9 @@ def reference_normalize_text(text: str) -> str:
 
 
 def reference_breaks_row(value: str) -> bool:
-    """``corpus._breaks_row`` before its fast path for printable values."""
+    """The row-break half of ``corpus._check_tsv_field``, without its fast
+    path for printable values: whether ``value`` holds a tab or a character
+    ``str.splitlines`` ends a line at."""
     return "\t" in value or "".join(value.splitlines()) != value
 
 
@@ -316,12 +318,14 @@ def _parse_line(record: object, context: str, sources: dict) -> TranscribedLine:
         human_count += t.source.kind is SourceKind.HUMAN
         transcriptions.append(t)
     # The line's value rules, in the order ``TranscribedLine`` checks them,
-    # once every transcription is built.
+    # once every transcription is built. The image must fit a TSV field: no
+    # row break, then no unpaired surrogate.
     if reference_breaks_row(image):
         raise ManifestError(
             f"{context}: 'image' {image!r} contains a tab or newline and cannot be "
             "written as a TSV row"
         )
+    _require_utf8("image", image, context)
     if agreement is not None:
         try:
             agreement = float(agreement)
@@ -334,7 +338,7 @@ def _parse_line(record: object, context: str, sources: dict) -> TranscribedLine:
         raise ManifestError(
             f"{context}: expected 1 or 2 human transcriptions, found {human_count}"
         )
-    for name, value in (("line_id", line_id), ("image", image), ("page_id", page_id)):
+    for name, value in (("line_id", line_id), ("page_id", page_id)):
         if value is not None:
             _require_utf8(name, value, context)
     return TranscribedLine(line_id, image, tuple(transcriptions), page_id, split, agreement)

@@ -164,7 +164,7 @@ class TestWriteGroundTruth:
         ]
 
     def test_tab_in_image_ref_rejected(self):
-        message = r"image_ref 'img\\tbad\.png' contains a tab or newline"
+        message = r"'image_ref' 'img\\tbad\.png' contains a tab or newline"
         with pytest.raises(ValueError, match=message):
             EmissionRecord(
                 "img\tbad.png", "texte", Split.TRAIN, TranscriptionSource(SourceKind.HUMAN)
@@ -184,7 +184,7 @@ class TestWriteGroundTruth:
         else:
             text = f"tex{boundary}te"
         label = "image_ref" if field == "image" else "text"
-        with pytest.raises(ValueError, match=f"^{label} .* contains a tab or newline"):
+        with pytest.raises(ValueError, match=f"^'{label}' .* contains a tab or newline"):
             EmissionRecord(image, text, Split.TRAIN, TranscriptionSource(SourceKind.HUMAN))
 
     def test_other_control_characters_kept_on_one_row(self, tmp_path):

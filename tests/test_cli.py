@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import contextlib
+import errno
 import gc
+import io
 import json
 import os
 import shutil
@@ -10,9 +13,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import aggrescribe
-from aggrescribe import ManifestError, Strategy, assemble, cli, parse_manifest, splits
+from aggrescribe import (
+    ManifestError,
+    Strategy,
+    assemble,
+    cli,
+    normalize_text,
+    parse_manifest,
+    splits,
+)
 from aggrescribe.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from conftest import child_env
 
@@ -55,6 +68,33 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert "--sizes" in err and "--mode random" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("split", ["--sizes", "1,2"],
+             "argument --sizes: expected three comma-separated counts: TRAIN,VAL,TEST"),
+            ("split", ["--sizes", "a,b,c"], "argument --sizes: sizes must be integers, got 'a,b,c'"),
+            # With ``=``: argparse reads a bare ``-1,2,3`` as a flag.
+            ("split", ["--sizes=-1,2,3"], "argument --sizes: sizes must be non-negative"),
+            ("filter", ["--min-agreement", "abc"],
+             "argument --min-agreement: threshold must be a number, got 'abc'"),
+            ("filter", ["--min-agreement", "101"],
+             "argument --min-agreement: threshold must be in [0, 100]"),
+            ("filter", ["--min-agreement", "nan"],
+             "argument --min-agreement: threshold must be in [0, 100]"),
+        ],
+    )
+    def test_bad_sizes_and_threshold_are_usage_errors(
+        self, tmp_path, capsys, command, flags, message
+    ):
+        out = tmp_path / "o.jsonl"
+        mode = ["--mode", "random"] if command == "split" else []
+        with pytest.raises(SystemExit) as excinfo:
+            run(command, FIXTURE, "-o", out, *mode, *flags)
+        assert excinfo.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[-1] == f"aggrescribe {command}: error: {message}"
         assert not out.exists()
 
     def test_seed_with_agreement_mode_is_usage_error(self, tmp_path, capsys):
@@ -487,11 +527,111 @@ class TestForkedMap:
             cli._map_lines(die_in_first_chunk, range(4), 2)
         _no_child_left()
 
+    def test_fork_failure_is_io_error(self, tmp_path, monkeypatch, capsys):
+        fork, calls = os.fork, []
+
+        def fork_once():
+            calls.append(None)
+            if len(calls) == 2:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        def open_fds():
+            # Empty where the platform lists no descriptors there.
+            return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+
+        monkeypatch.setattr(cli.os, "fork", fork_once)
+        monkeypatch.setenv("AGGRESCRIBE_THREADS", "3")
+        out = tmp_path / "agreed.jsonl"
+        before = open_fds()
+        assert run("agree", FIXTURE, "-o", out) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"aggrescribe: i/o error: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n"
+        )
+        assert len(calls) == 2 and not out.exists()
+        assert open_fds() == before  # both pipes' ends closed
+        _no_child_left()
+
     def test_inline_without_fork(self, monkeypatch):
         monkeypatch.delattr(cli.os, "fork")
         assert cli._map_lines(lambda x: (x, os.getpid()), range(5), 4) == [
             (x, os.getpid()) for x in range(5)
         ]
+
+
+#: Readings from a small alphabet with spaces, tabs, a composed letter and a
+#: combining accent; each is non-blank once normalized, so every line is valid.
+_chain_texts = st.text(
+    alphabet=st.sampled_from(["a", "b", " ", "\t", "é", "\u0301"]), min_size=1, max_size=10
+).filter(normalize_text)
+
+
+@st.composite
+def _valid_manifests(draw):
+    """A manifest of 1-8 valid lines, each with 1-2 human and 0-3 automatic
+    readings."""
+    rows = []
+    for i in range(draw(st.integers(min_value=1, max_value=8))):
+        entries = [{"text": t, "source": "human"}
+                   for t in draw(st.lists(_chain_texts, min_size=1, max_size=2))]
+        for text in draw(st.lists(_chain_texts, max_size=3)):
+            entries.append({"text": text, "source": draw(st.sampled_from(["auto:pylaia", "auto:dan"]))})
+        record = {"line_id": f"L{i}", "image": f"img/{i}.png", "transcriptions": entries}
+        rows.append(json.dumps(record, ensure_ascii=False) + "\n")
+    return "".join(rows)
+
+
+def _whole_chain(level, threshold):
+    return [
+        ["validate", "in.jsonl"],
+        ["aggregate", "in.jsonl", "-o", "rover.jsonl", "--method", "rover", "--level", level],
+        ["aggregate", "rover.jsonl", "-o", "both.jsonl", "--method", "rasa"],
+        ["agree", "both.jsonl", "-o", "agreed.jsonl"],
+        ["split", "agreed.jsonl", "-o", "split.jsonl", "--mode", "agreement"],
+        ["split", "agreed.jsonl", "-o", "random.jsonl", "--mode", "random"],
+        ["filter", "split.jsonl", "-o", "kept.jsonl", "--min-agreement", threshold],
+        *(["emit", "kept.jsonl", "--strategy", s.value, "--out", f"gt-{s.value}"]
+          for s in Strategy),
+    ]
+
+
+class TestEveryValidManifest:
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        manifest=_valid_manifests(),
+        level=st.sampled_from(["char", "word"]),
+        threshold=st.floats(min_value=0, max_value=100),
+    )
+    def test_runs_the_whole_chain_alike_at_one_and_two_workers(
+        self, manifest, level, threshold, tmp_path_factory
+    ):
+        base = tmp_path_factory.mktemp("chain")
+        runs = []
+        for threads in ("1", "2"):
+            directory = base / threads
+            directory.mkdir()
+            (directory / "in.jsonl").write_text(manifest, encoding="utf-8")
+            outs = []
+            with pytest.MonkeyPatch.context() as mp:
+                _usable_cpus(mp, 2)
+                mp.setenv("AGGRESCRIBE_THREADS", threads)
+                mp.chdir(directory)
+                for argv in _whole_chain(level, repr(threshold)):
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = run("--json", *argv)
+                    assert code == EXIT_OK, (argv, err.getvalue())
+                    assert json.loads(err.getvalue().splitlines()[-1])["command"] == argv[0]
+                    outs.append(out.getvalue())
+            files = {
+                str(path.relative_to(directory)): path.read_bytes()
+                for path in sorted(directory.rglob("*"))
+                if path.is_file()
+            }
+            runs.append((outs, files))
+        assert runs[0] == runs[1]
+        _no_child_left()
 
 
 _STARTS = pytest.mark.parametrize(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import os
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -22,7 +23,7 @@ from aggrescribe import (
     parse_manifest,
     write_manifest,
 )
-from aggrescribe.corpus import _breaks_row
+from aggrescribe.corpus import _check_tsv_field, atomic_write_text
 from oracles import (
     reference_breaks_row,
     reference_normalize_text,
@@ -78,8 +79,31 @@ class TestNormalization:
         assert normalize_text(text) == reference_normalize_text(text)
 
     @given(value=st.text(alphabet=_SPACES_AND_MORE, max_size=12) | st.text(max_size=12))
+    @example("a\ud800")
+    @example("\t\ud800")
     def test_row_break_check_matches_reference(self, value):
-        assert _breaks_row(value) == reference_breaks_row(value)
+        # A row break is reported first, then an unpaired surrogate, which
+        # no UTF-8 file can hold; any other value fits a TSV field.
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            encodable = False
+        else:
+            encodable = True
+        if reference_breaks_row(value):
+            expected = (
+                f"'image' {value!r} contains a tab or newline and cannot be written as a TSV row"
+            )
+        elif not encodable:
+            expected = "'image' contains an unpaired surrogate"
+        else:
+            expected = None
+        try:
+            _check_tsv_field("image", value)
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
 
 
 class TestDomainTypes:
@@ -319,6 +343,19 @@ class TestParse:
         with pytest.raises(ManifestError, match=f"'{field}' contains an unpaired surrogate"):
             parse_manifest(path)
 
+    def test_image_rule_reported_before_human_count(self, tmp_path):
+        # The image's surrogate is checked with its row breaks, as one TSV
+        # field rule, before the line's readings are counted.
+        rec = record("L1", n_human=3, autos=())
+        rec["image"] = "a\ud800.png"
+        path = tmp_path / "twofault.jsonl"
+        path.write_text(json.dumps(rec) + "\n", encoding="ascii")  # as a \ud800 escape
+        message = "twofault.jsonl:1 (line_id 'L1'): 'image' contains an unpaired surrogate"
+        for parse in (parse_manifest, reference_parse_manifest):
+            with pytest.raises(ManifestError) as excinfo:
+                parse(path)
+            assert str(excinfo.value) == message
+
     def test_ascii_escaped_manifest_parses_as_its_utf8_twin(self, tmp_path):
         # ``json.dumps``'s default ``ensure_ascii=True`` writes every letter
         # past ASCII as a \u escape, or two for one past the BMP.
@@ -421,6 +458,23 @@ class TestWrite:
         write_manifest(corpus, base / "a.jsonl")
         write_manifest(parse_manifest(base / "a.jsonl"), base / "b.jsonl")
         assert (base / "a.jsonl").read_bytes() == (base / "b.jsonl").read_bytes()
+
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n", encoding="utf-8")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(path, "a\ud800")
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_taken_temp_name_is_skipped(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("aggrescribe.corpus._TEMP_NUMBERS", itertools.count())
+        stale = tmp_path / f".out.txt.{os.getpid()}.0.tmp"
+        stale.write_text("stale\n", encoding="utf-8")
+        atomic_write_text(tmp_path / "out.txt", "new\n")
+        assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "new\n"
+        assert stale.read_text(encoding="utf-8") == "stale\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name, "out.txt"]
 
 
 _json_values = st.recursive(
