@@ -14,10 +14,12 @@ __version__ = "0.1.0"
 #: Each re-exported name and the module that defines it.
 _HOMES = {
     "Corpus": "corpus",
+    "Granularity": "corpus",
     "ManifestError": "corpus",
     "SourceKind": "corpus",
     "Split": "corpus",
     "StatsReport": "corpus",
+    "Strategy": "corpus",
     "TranscribedLine": "corpus",
     "Transcription": "corpus",
     "TranscriptionSource": "corpus",
@@ -30,7 +32,6 @@ _HOMES = {
     "sym_char_distance": "metrics",
     "wer": "metrics",
     "ConsensusResult": "rover",
-    "Granularity": "rover",
     "TokenLattice": "rover",
     "build_lattice": "rover",
     "consensus_transcription": "rover",
@@ -49,7 +50,6 @@ _HOMES = {
     "random_split": "splits",
     "split_counts": "splits",
     "EmissionRecord": "assemble",
-    "Strategy": "assemble",
     "emit": "assemble",
     "write_ground_truth": "assemble",
 }

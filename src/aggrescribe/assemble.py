@@ -9,18 +9,23 @@ on human ground truth.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from enum import Enum
 from pathlib import Path
 
 from .corpus import (
+    _ALL_HUMAN,
+    _ALL_HUMAN_AUTO,
+    _RANDOM_ONE,
     _RASA,
+    _RASA_ONE,
     _ROVER,
+    _ROVER_ONE,
     _TEST,
     _check_tsv_field,
     ManifestError,
     Record,
     SourceKind,
     Split,
+    Strategy,
     TranscribedLine,
     Transcription,
     TranscriptionSource,
@@ -32,27 +37,21 @@ from .corpus import (
 from .splits import SeededRng
 
 
-class Strategy(Enum):
-    RANDOM_ONE = "random-one"
-    RASA_ONE = "rasa-one"
-    ROVER_ONE = "rover-one"
-    ALL_HUMAN = "all-human"
-    ALL_HUMAN_AUTO = "all-human-auto"
-    ALL_WITH_AGGREGATES = "all"
-
-
 class EmissionRecord(Record):
     """One ``image<TAB>text`` TSV row. The constructor refuses a field with a tab,
-    a line break or an unpaired surrogate (``ValueError``), so any can be written."""
+    a line break or an unpaired surrogate, and a split that is neither a
+    ``Split`` nor a member's value (``ValueError``), so any can be written."""
 
     __slots__ = ("image_ref", "text", "split", "source")
 
     def __init__(
-        self, image_ref: str, text: str, split: Split, source: TranscriptionSource
+        self, image_ref: str, text: str, split: Split | str, source: TranscriptionSource
     ) -> None:
         if not (image_ref.isprintable() and text.isprintable()):
             _check_tsv_field("image_ref", image_ref)
             _check_tsv_field("text", text)
+        if split.__class__ is not Split:
+            split = Split(split)
         _set(self, "image_ref", image_ref)
         _set(self, "text", text)
         _set(self, "split", split)
@@ -60,10 +59,6 @@ class EmissionRecord(Record):
 
 
 _FILENAMES = {Split.TRAIN: "train.tsv", Split.VALIDATION: "val.tsv", Split.TEST: "test.tsv"}
-
-# Members bound once, in definition order: an enum class attribute costs a
-# lookup per use.
-_RANDOM_ONE, _RASA_ONE, _ROVER_ONE, _ALL_HUMAN, _ALL_HUMAN_AUTO, _ = Strategy
 
 
 def _aggregate(line: TranscribedLine, kind: SourceKind) -> Transcription:

@@ -31,9 +31,12 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import (
+    _CHARACTER,
     Corpus,
+    Granularity,
     ManifestError,
     Split,
+    Strategy,
     atomic_write_text,
     corpus_stats,
     parse_manifest,
@@ -48,11 +51,6 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 
 THREADS_ENV = "AGGRESCRIBE_THREADS"
-
-
-#: ``assemble.Strategy``'s values, for the parser, which must not load
-#: ``assemble`` for every command.
-STRATEGIES = ("random-one", "rasa-one", "rover-one", "all-human", "all-human-auto", "all")
 
 
 def __getattr__(name: str):
@@ -300,10 +298,10 @@ def cmd_stats(args: argparse.Namespace) -> dict:
 def cmd_aggregate(args: argparse.Namespace) -> dict:
     if args.method == "rasa" and args.level is not None:
         raise UsageError("--level applies only to --method rover")
-    level = "char" if args.method == "rover" and args.level is None else args.level
+    level = _CHARACTER.value if args.method == "rover" and args.level is None else args.level
     threads = _thread_cap()
     if args.method == "rover":
-        _bind("Granularity", "consensus_transcription")
+        _bind("consensus_transcription")
         per_line = partial(consensus_transcription, level=Granularity(level))
     else:
         _bind("selected_transcription")
@@ -447,8 +445,8 @@ def build_parser() -> _Parser:
     aggregate.add_argument("--method", choices=("rover", "rasa"), required=True)
     aggregate.add_argument(
         "--level",
-        choices=("char", "word"),
-        help="rover voting granularity (default: char); rasa compares whole strings",
+        choices=[level.value for level in Granularity],
+        help=f"rover voting granularity (default: {_CHARACTER.value}); rasa compares whole strings",
     )
 
     add("agree", cmd_agree, "annotate every line with its agreement score")
@@ -472,7 +470,7 @@ def build_parser() -> _Parser:
     emit_cmd = add(
         "emit", cmd_emit, "write trainer-ready TSV ground truth under a strategy", output=False
     )
-    emit_cmd.add_argument("--strategy", choices=STRATEGIES, required=True)
+    emit_cmd.add_argument("--strategy", choices=[s.value for s in Strategy], required=True)
     emit_cmd.add_argument("--seed", type=int, default=0, help="random-one selection seed")
     emit_cmd.add_argument("--out", type=Path, required=True, help="output directory")
 

@@ -11,6 +11,13 @@ A manifest holds one JSON object per line::
 optional. All text is NFC-normalized with whitespace trimmed and collapsed at
 construction time, so accent-encoding and spacing differences never show up
 as character edits downstream.
+
+This module also defines the package's four enums: ``SourceKind`` and
+``Split``, which a manifest stores, and ``Granularity`` and ``Strategy``,
+ROVER's voting unit and the readings ``emit`` turns into rows. The other
+modules, and the CLI's ``--level`` and ``--strategy`` choices, take them
+from here. A record's constructor takes a member or its value and keeps
+the member; any other value raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -44,6 +51,20 @@ class Split(Enum):
     TEST = "test"
 
 
+class Granularity(Enum):
+    CHARACTER = "char"
+    WORD = "word"
+
+
+class Strategy(Enum):
+    RANDOM_ONE = "random-one"
+    RASA_ONE = "rasa-one"
+    ROVER_ONE = "rover-one"
+    ALL_HUMAN = "all-human"
+    ALL_HUMAN_AUTO = "all-human-auto"
+    ALL_WITH_AGGREGATES = "all"
+
+
 #: Manifest strings to members, for the parser. A list or object in the
 #: manifest is unhashable, so a lookup of one raises ``TypeError``.
 _KIND_BY_TAG = {kind.value: kind for kind in SourceKind}
@@ -53,6 +74,8 @@ _SPLIT_BY_NAME = {split.value: split for split in Split}
 # import: an enum class attribute costs a lookup per use.
 _HUMAN, _PYLAIA, _DAN, _ROVER, _RASA = SourceKind
 _TRAIN, _VALIDATION, _TEST = Split
+_CHARACTER, _WORD = Granularity
+_RANDOM_ONE, _RASA_ONE, _ROVER_ONE, _ALL_HUMAN, _ALL_HUMAN_AUTO, _ALL = Strategy
 
 def _check_tsv_field(field: str, value: str) -> None:
     """Raise ``ValueError`` unless ``value`` fits one field of a TSV row: no
@@ -143,9 +166,15 @@ class Record:
 
 
 class TranscriptionSource(Record):
+    """Who or what made a reading. ``kind`` is a ``SourceKind`` or its value;
+    any other value raises ``ValueError``, as does an annotator on a
+    reading that is not human."""
+
     __slots__ = ("kind", "annotator_id")
 
-    def __init__(self, kind: SourceKind, annotator_id: str | None = None) -> None:
+    def __init__(self, kind: SourceKind | str, annotator_id: str | None = None) -> None:
+        if kind.__class__ is not SourceKind:
+            kind = SourceKind(kind)
         if annotator_id is not None:
             if kind is not _HUMAN:
                 raise ValueError("annotator_id is only allowed on human transcriptions")
@@ -157,7 +186,8 @@ class TranscriptionSource(Record):
 
 class Transcription(Record):
     """One candidate text for a line. The text is normalized on construction
-    and must be non-empty afterwards, with no unpaired surrogate."""
+    and must be non-empty afterwards, with no unpaired surrogate, and
+    ``uncertain`` must be a bool; otherwise the constructor raises ``ValueError``."""
 
     __slots__ = ("text", "source", "uncertain")
 
@@ -167,6 +197,8 @@ class Transcription(Record):
             raise ValueError("transcription text is empty after normalization")
         if not (printable or cleaned.isprintable()):
             _refuse_lone_surrogate("text", cleaned)
+        if uncertain.__class__ is not bool:
+            raise ValueError("'uncertain' must be a boolean")
         _set(self, "text", cleaned)
         _set(self, "source", source)
         _set(self, "uncertain", uncertain)
@@ -177,8 +209,9 @@ class TranscribedLine(Record):
 
     The constructor raises ``ValueError`` unless, in this order, ``line_id``
     and ``image_ref`` are non-empty, the image fits a TSV field (no tab, no
-    line break, no unpaired surrogate), ``agreement`` is ``None`` or a number
-    in [0, 100] (kept as a float), the line holds one or two human
+    line break, no unpaired surrogate), ``split`` is ``None``, a ``Split`` or
+    a member's value (kept as the member), ``agreement`` is ``None`` or a
+    number in [0, 100] (kept as a float), the line holds one or two human
     transcriptions, and ``line_id`` and ``page_id`` hold no unpaired
     surrogate. So any line can be written, read back and emitted, and no step
     checks for a missing human reading again.
@@ -192,7 +225,7 @@ class TranscribedLine(Record):
         image_ref: str,
         transcriptions: tuple[Transcription, ...],
         page_id: str | None = None,
-        split: Split | None = None,
+        split: Split | str | None = None,
         agreement: float | None = None,
     ) -> None:
         transcriptions = tuple(transcriptions)
@@ -201,6 +234,8 @@ class TranscribedLine(Record):
         if not image_ref:
             raise ValueError("image_ref must be non-empty")
         _check_tsv_field("image", image_ref)
+        if split.__class__ is not Split and split is not None:
+            split = Split(split)
         if agreement.__class__ is not float and agreement is not None:
             if isinstance(agreement, bool) or not isinstance(agreement, (int, float)):
                 raise ValueError("'agreement' must be a number")
@@ -244,7 +279,7 @@ class TranscribedLine(Record):
         kept = [t for t in self.transcriptions if t.source.kind is not kind]
         return self._replace(transcriptions=(*kept, transcription))
 
-    def with_split(self, split: Split) -> "TranscribedLine":
+    def with_split(self, split: Split | str | None) -> "TranscribedLine":
         return self._replace(split=split)
 
     def with_agreement(self, value: float) -> "TranscribedLine":

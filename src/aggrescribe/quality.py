@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 
-from .corpus import TranscribedLine, canonical_transcriptions
+from .corpus import _CHARACTER, TranscribedLine, canonical_transcriptions
 from .metrics import sym_char_distance
-from .rover import _CHARACTER, rover_consensus
+from .rover import rover_consensus
 
 
 def agreement_score(line: TranscribedLine) -> float:

@@ -29,10 +29,11 @@ empty keeps its first human reading, marked ``uncertain``.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from enum import Enum
 
 from .corpus import (
+    _CHARACTER,
     _ROVER,
+    Granularity,
     Record,
     TranscribedLine,
     Transcription,
@@ -43,15 +44,6 @@ from .corpus import (
 
 #: Marker for "this input contributes nothing at this slot".
 NULL = None
-
-
-class Granularity(Enum):
-    CHARACTER = "char"
-    WORD = "word"
-
-
-# A member bound once: an enum class attribute costs a lookup per use.
-_CHARACTER = Granularity.CHARACTER
 
 #: The source of every consensus transcription, built once.
 _SOURCE = TranscriptionSource(_ROVER)
@@ -179,9 +171,7 @@ def build_lattice(sequences: Sequence[Sequence[str]]) -> TokenLattice:
     return TokenLattice(slots=tuple(slots), num_inputs=merged)
 
 
-def vote(
-    lattice: TokenLattice, level: Granularity | str = Granularity.CHARACTER
-) -> ConsensusResult:
+def vote(lattice: TokenLattice, level: Granularity | str = _CHARACTER) -> ConsensusResult:
     """Pick each slot's plurality entry and join the non-null winners.
 
     Raises:
@@ -207,7 +197,7 @@ def vote(
 
 
 def rover_consensus(
-    texts: Sequence[str], level: Granularity | str = Granularity.CHARACTER
+    texts: Sequence[str], level: Granularity | str = _CHARACTER
 ) -> ConsensusResult:
     """Consensus text for a list of transcriptions.
 
@@ -229,12 +219,17 @@ def rover_consensus(
 
 
 def consensus_transcription(
-    line: TranscribedLine, level: Granularity = Granularity.CHARACTER
+    line: TranscribedLine, level: Granularity | str = _CHARACTER
 ) -> Transcription:
     """Consensus over a line's canonical readings, as an aggregate source;
-    an empty vote gives the first reading, marked ``uncertain``."""
+    an empty vote gives the first reading, marked ``uncertain``.
+
+    Raises:
+        ValueError: if ``level`` is not a granularity.
+    """
     texts = [t.text for t in canonical_transcriptions(line)]
+    voted = rover_consensus(texts, level).text
     try:
-        return Transcription(text=rover_consensus(texts, level).text, source=_SOURCE)
+        return Transcription(text=voted, source=_SOURCE)
     except ValueError:  # the vote is empty
         return Transcription(text=texts[0], source=_SOURCE, uncertain=True)

@@ -24,6 +24,7 @@ from aggrescribe import (
     cli,
     normalize_text,
     parse_manifest,
+    rover,
     splits,
 )
 from aggrescribe.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
@@ -709,6 +710,25 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
+    def test_enum_import_loads_only_corpus(self, tmp_path):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-S",
+                "-c",
+                "import sys\n"
+                "from aggrescribe import Strategy, Granularity\n"
+                "print(sorted(m for m in sys.modules if m.startswith('aggrescribe.')))",
+            ],
+            cwd=tmp_path,
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "['aggrescribe.corpus']"
+
     @pytest.mark.parametrize(
         "argv, modules",
         [
@@ -764,11 +784,13 @@ class TestImports:
             value = getattr(aggrescribe, name)
             assert getattr(sys.modules[value.__module__], name) is value
         assert set(aggrescribe.__all__) <= set(dir(aggrescribe))
+        # ``corpus`` defines the enums, and the modules that use them still name them.
+        assert rover.Granularity is aggrescribe.Granularity
+        assert assemble.Strategy is aggrescribe.Strategy
         with pytest.raises(AttributeError, match="no_such_name"):
             aggrescribe.no_such_name
 
     def test_lazy_cli_names(self):
-        assert cli.STRATEGIES == tuple(s.value for s in Strategy)
         assert cli.emit is assemble.emit and cli.filter_by_agreement is splits.filter_by_agreement
         with pytest.raises(AttributeError, match="no_such_name"):
             cli.no_such_name

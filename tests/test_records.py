@@ -5,6 +5,7 @@ Any record their constructors accept can be written, read back and emitted."""
 from __future__ import annotations
 
 import copy
+import itertools
 import pickle
 
 import pytest
@@ -19,10 +20,13 @@ from aggrescribe import (
     SourceKind,
     Split,
     StatsReport,
+    Strategy,
     TokenLattice,
     TranscribedLine,
     Transcription,
     TranscriptionSource,
+    canonical_transcriptions,
+    filter_by_agreement,
     parse_manifest,
     write_ground_truth,
     write_manifest,
@@ -229,6 +233,71 @@ class TestLineUpdates:
         assert updated._replace(agreement=None) == LINE
 
 
+def _two_readings(kind, split):
+    """A line scoring 50 with a human reading and one of ``kind``."""
+    readings = [Transcription("bonjour", HUMAN)]
+    readings.append(Transcription("bonsoir", TranscriptionSource(kind)))
+    return TranscribedLine("L1", "img/L1.png", readings, split=split, agreement=50.0)
+
+
+class TestValuesActAsMembers:
+    """A record given an enum member's value holds the member, so it filters,
+    writes and emits as the record built from the member; any other value is
+    refused with ``ValueError``."""
+
+    @pytest.mark.parametrize(
+        "kind, split",
+        list(zip(SourceKind, itertools.cycle(Split))),
+        ids=lambda member: member.value,
+    )
+    def test_value_builds_the_member_record(self, kind, split, tmp_path):
+        member = _two_readings(kind, split)
+        from_value = _two_readings(kind.value, split.value)
+        assert from_value == member
+        assert (from_value.split, from_value.transcriptions[1].source.kind) == (split, kind)
+        assert _two_readings(kind.value, None).with_split(split.value) == member
+        write_manifest(Corpus((from_value,)), tmp_path / "value.jsonl")
+        write_manifest(Corpus((member,)), tmp_path / "member.jsonl")
+        assert (tmp_path / "value.jsonl").read_bytes() == (tmp_path / "member.jsonl").read_bytes()
+        assert parse_manifest(tmp_path / "value.jsonl") == Corpus((member,))
+
+        row = EmissionRecord("img/L1.png", "bonsoir", split.value, TranscriptionSource(kind.value))
+        assert row == EmissionRecord("img/L1.png", "bonsoir", split, TranscriptionSource(kind))
+        counts = write_ground_truth([row], tmp_path / "gt")
+        assert counts == {s.value: int(s is split) for s in Split}
+
+    def test_split_value_is_filtered_as_its_member(self):
+        line = _two_readings(SourceKind.AUTO_DAN, "train")
+        assert filter_by_agreement(Corpus((line,)), 90) == Corpus(())
+        assert filter_by_agreement(Corpus((line.with_split("val"),)), 90).lines == (
+            line.with_split(Split.VALIDATION),
+        )
+
+    def test_kind_value_votes_as_its_member(self):
+        line = _two_readings("auto:pylaia", None)
+        assert [t.text for t in canonical_transcriptions(line)] == ["bonjour", "bonsoir"]
+
+    @pytest.mark.parametrize("value", ["bogus", "TRAIN", "Human", Strategy.ALL_HUMAN, 1, ["train"]])
+    def test_other_values_refused(self, value):
+        with pytest.raises(ValueError):
+            _two_readings(SourceKind.AUTO_DAN, value)
+        with pytest.raises(ValueError):
+            LINE.with_split(value)
+        with pytest.raises(ValueError):
+            EmissionRecord("img/L1.png", "bonjour", value, HUMAN)
+        with pytest.raises(ValueError):
+            TranscriptionSource(value)
+
+    def test_emission_record_refuses_no_split(self):
+        with pytest.raises(ValueError):
+            EmissionRecord("img/L1.png", "bonjour", None, HUMAN)
+
+    @pytest.mark.parametrize("uncertain", ["no", "", 0, 1, None])
+    def test_uncertain_must_be_a_bool(self, uncertain):
+        with pytest.raises(ValueError, match="'uncertain' must be a boolean"):
+            Transcription("bonjour", HUMAN, uncertain)
+
+
 #: Strings a constructor must keep or refuse: each odd character alone, and
 #: mixes of tabs, line breaks, lone surrogates, spaces, quotes, controls and
 #: non-ASCII letters.
@@ -265,10 +334,12 @@ def _line_fields(draw):
     fields = _fields(
         line_id=draw(st.sampled_from(["L1", "L2"])),
         transcriptions=readings,
-        split=draw(st.none() | st.sampled_from(list(Split))),
+        split=draw(st.none() | st.sampled_from([*Split, *(split.value for split in Split)])),
     )
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        name = draw(st.sampled_from(["line_id", "image_ref", "page_id", "agreement", 1, 2]))
+        name = draw(
+            st.sampled_from(["line_id", "image_ref", "page_id", "split", "agreement", 1, 2])
+        )
         if name == "agreement":
             fields[name] = draw(_tricky_agreements)
         elif name in (1, 2):  # a reading's annotator or text

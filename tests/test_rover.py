@@ -15,6 +15,7 @@ from aggrescribe import (
     TranscriptionSource,
     build_lattice,
     canonical_transcriptions,
+    normalize_text,
     rover_consensus,
     tokenize,
     vote,
@@ -129,12 +130,15 @@ class TestLevelValues:
         assert rover_consensus(texts, level.value) == rover_consensus(texts, level)
 
     @pytest.mark.parametrize("level", ["bogus", "CHARACTER", "Char", None])
-    def test_unknown_level_rejected(self, level):
+    def test_unknown_level_rejected(self, level, make_line):
         lattice = build_lattice([["a"], ["b"]])
+        line = make_line("A", humans=("ab", "ac"))
         for step in (
             lambda: tokenize("ab c", level),
             lambda: vote(lattice, level),
             lambda: rover_consensus(["ab", "ac"], level),
+            # Not the empty vote's fallback to the first reading.
+            lambda: consensus_transcription(line, level),
         ):
             with pytest.raises(ValueError):
                 step()
@@ -352,14 +356,17 @@ class TestLineConsensus:
         line = make_line("A", humans=("cat",), rover="dog", rasa="dog")
         assert consensus_transcription(line).text == "cat"
 
-    @given(line=voting_lines(), level=st.sampled_from([CHAR, WORD]))
+    @given(line=voting_lines(), level=st.sampled_from([CHAR, WORD, "char", "word"]))
     @example(line=_EMPTY_VOTE, level=WORD)
+    @example(line=_EMPTY_VOTE, level="word")
     def test_never_raises_and_flags_only_the_fallback(self, line, level):
+        # A member or its value: uncertain exactly when the normalized vote
+        # is empty, and otherwise carrying that vote.
         texts = [t.text for t in canonical_transcriptions(line)]
-        voted = rover_consensus(texts, level).text
+        voted = normalize_text(rover_consensus(texts, level).text)
         t = consensus_transcription(line, level)
         assert t.source.kind is SourceKind.AGGREGATE_ROVER
-        if voted.split():
-            assert (t.text, t.uncertain) == (" ".join(voted.split()), False)
+        if voted:
+            assert (t.text, t.uncertain) == (voted, False)
         else:
             assert (t.text, t.uncertain) == (texts[0], True)
