@@ -19,8 +19,10 @@ from .corpus import (
     _RASA_ONE,
     _ROVER,
     _ROVER_ONE,
+    _SPLIT_BY_NAME,
     _TEST,
     _check_tsv_field,
+    _member,
     ManifestError,
     Record,
     SourceKind,
@@ -51,7 +53,7 @@ class EmissionRecord(Record):
             _check_tsv_field("image_ref", image_ref)
             _check_tsv_field("text", text)
         if split.__class__ is not Split:
-            split = Split(split)
+            split = _member(_SPLIT_BY_NAME, split, "unknown split")
         _set(self, "image_ref", image_ref)
         _set(self, "text", text)
         _set(self, "split", split)

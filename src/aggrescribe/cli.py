@@ -243,7 +243,7 @@ def _threshold(text: str) -> float:
         raise argparse.ArgumentTypeError(f"threshold must be a number, got {text!r}") from None
     if not 0.0 <= value <= 100.0:
         raise argparse.ArgumentTypeError("threshold must be in [0, 100]")
-    return value
+    return value or 0.0  # -0 is 0, and prints so in the table and the summary
 
 
 def _print_table(rows: Sequence[tuple[str, str]]) -> None:

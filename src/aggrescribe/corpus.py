@@ -12,6 +12,10 @@ optional. All text is NFC-normalized with whitespace trimmed and collapsed at
 construction time, so accent-encoding and spacing differences never show up
 as character edits downstream.
 
+The record constructors are the schema: each checks its fields' types and
+values and raises ``ValueError`` with the message a manifest line gets, so
+the parser checks JSON shape only and passes each raw field on.
+
 This module also defines the package's four enums: ``SourceKind`` and
 ``Split``, which a manifest stores, and ``Granularity`` and ``Strategy``,
 ROVER's voting unit and the readings ``emit`` turns into rows. The other
@@ -65,8 +69,7 @@ class Strategy(Enum):
     ALL_WITH_AGGREGATES = "all"
 
 
-#: Manifest strings to members, for the parser. A list or object in the
-#: manifest is unhashable, so a lookup of one raises ``TypeError``.
+#: Manifest strings to members, for the constructors, through ``_member``.
 _KIND_BY_TAG = {kind.value: kind for kind in SourceKind}
 _SPLIT_BY_NAME = {split.value: split for split in Split}
 
@@ -76,6 +79,15 @@ _HUMAN, _PYLAIA, _DAN, _ROVER, _RASA = SourceKind
 _TRAIN, _VALIDATION, _TEST = Split
 _CHARACTER, _WORD = Granularity
 _RANDOM_ONE, _RASA_ONE, _ROVER_ONE, _ALL_HUMAN, _ALL_HUMAN_AUTO, _ALL = Strategy
+
+
+def _member(table: dict, value: object, refusal: str) -> Enum:
+    """The member ``table`` maps ``value`` to, or ``ValueError`` naming the value."""
+    try:
+        return table[value]
+    except (KeyError, TypeError):  # TypeError: a list or dict, which cannot be a key
+        raise ValueError(f"{refusal} {value!r}") from None
+
 
 def _check_tsv_field(field: str, value: str) -> None:
     """Raise ``ValueError`` unless ``value`` fits one field of a TSV row: no
@@ -166,16 +178,18 @@ class Record:
 
 
 class TranscriptionSource(Record):
-    """Who or what made a reading. ``kind`` is a ``SourceKind`` or its value;
-    any other value raises ``ValueError``, as does an annotator on a
-    reading that is not human."""
+    """Who or what made a reading. ``kind`` is a ``SourceKind`` or its value,
+    and ``annotator_id`` ``None`` or a string with no unpaired surrogate, on
+    a human reading only; otherwise the constructor raises ``ValueError``."""
 
     __slots__ = ("kind", "annotator_id")
 
     def __init__(self, kind: SourceKind | str, annotator_id: str | None = None) -> None:
         if kind.__class__ is not SourceKind:
-            kind = SourceKind(kind)
+            kind = _member(_KIND_BY_TAG, kind, "unknown source tag")
         if annotator_id is not None:
+            if not isinstance(annotator_id, str):
+                raise ValueError("'annotator' must be a string")
             if kind is not _HUMAN:
                 raise ValueError("annotator_id is only allowed on human transcriptions")
             if not annotator_id.isprintable():
@@ -185,13 +199,16 @@ class TranscriptionSource(Record):
 
 
 class Transcription(Record):
-    """One candidate text for a line. The text is normalized on construction
-    and must be non-empty afterwards, with no unpaired surrogate, and
-    ``uncertain`` must be a bool; otherwise the constructor raises ``ValueError``."""
+    """One candidate text for a line. The text must be a string, which is
+    normalized on construction and must be non-empty afterwards, with no
+    unpaired surrogate, and ``uncertain`` must be a bool; otherwise the
+    constructor raises ``ValueError``."""
 
     __slots__ = ("text", "source", "uncertain")
 
     def __init__(self, text: str, source: TranscriptionSource, uncertain: bool = False) -> None:
+        if not isinstance(text, str):
+            raise ValueError("transcription is missing a string 'text'")
         cleaned, printable = _normalize(text)
         if not cleaned:
             raise ValueError("transcription text is empty after normalization")
@@ -208,13 +225,14 @@ class TranscribedLine(Record):
     """One text-line image with its set of candidate transcriptions.
 
     The constructor raises ``ValueError`` unless, in this order, ``line_id``
-    and ``image_ref`` are non-empty, the image fits a TSV field (no tab, no
-    line break, no unpaired surrogate), ``split`` is ``None``, a ``Split`` or
-    a member's value (kept as the member), ``agreement`` is ``None`` or a
-    number in [0, 100] (kept as a float), the line holds one or two human
-    transcriptions, and ``line_id`` and ``page_id`` hold no unpaired
-    surrogate. So any line can be written, read back and emitted, and no step
-    checks for a missing human reading again.
+    and ``image_ref`` are non-empty strings, ``page_id`` is ``None`` or a
+    string, the image fits a TSV field (no tab, no line break, no unpaired
+    surrogate), ``split`` is ``None``, a ``Split`` or a member's value (kept
+    as the member), ``agreement`` is ``None`` or a number in [0, 100] (kept
+    as a float), the line holds one or two human transcriptions, and
+    ``line_id`` and ``page_id`` hold no unpaired surrogate. So any line can
+    be written, read back and emitted, and no step checks for a missing
+    human reading again.
     """
 
     __slots__ = ("line_id", "image_ref", "transcriptions", "page_id", "split", "agreement")
@@ -229,13 +247,15 @@ class TranscribedLine(Record):
         agreement: float | None = None,
     ) -> None:
         transcriptions = tuple(transcriptions)
-        if not line_id:
-            raise ValueError("line_id must be non-empty")
-        if not image_ref:
-            raise ValueError("image_ref must be non-empty")
+        if not (isinstance(line_id, str) and line_id):
+            raise ValueError("missing or empty 'line_id'")
+        if not (isinstance(image_ref, str) and image_ref):
+            raise ValueError("missing or empty 'image'")
+        if page_id is not None and not isinstance(page_id, str):
+            raise ValueError("'page_id' must be a string")
         _check_tsv_field("image", image_ref)
         if split.__class__ is not Split and split is not None:
-            split = Split(split)
+            split = _member(_SPLIT_BY_NAME, split, "unknown split")
         if agreement.__class__ is not float and agreement is not None:
             if isinstance(agreement, bool) or not isinstance(agreement, (int, float)):
                 raise ValueError("'agreement' must be a number")
@@ -320,75 +340,50 @@ _JSON_WHITESPACE = " \t\r\n"
 
 
 def _parse_line(record: object, sources: dict) -> TranscribedLine:
-    """Check one decoded manifest record's JSON types and build its line
-    through the records' constructors.
+    """Check one decoded manifest record's JSON shape and build its line,
+    passing each raw field to the records' constructors.
 
-    Raises ``ManifestError``, or a constructor's ``ValueError``, with the bare
+    The record must be an object whose ``transcriptions`` is a non-empty
+    list of objects, and a ``split`` that is present must not be null;
+    every rule on a field's type or value is its constructor's. Raises
+    ``ManifestError``, or a constructor's ``ValueError``, with the bare
     reason; ``parse_manifest`` adds the ``file:line (line_id ...)`` context.
     ``sources`` holds one ``TranscriptionSource`` per ``(tag, annotator)`` met.
     """
     if not isinstance(record, dict):
         raise ManifestError("record must be a JSON object")
     get = record.get
-    line_id = get("line_id")
-    if not isinstance(line_id, str) or not line_id:
-        raise ManifestError("missing or empty 'line_id'")
-    image = get("image")
-    if not isinstance(image, str) or not image:
-        raise ManifestError("missing or empty 'image'")
-    page_id = get("page_id")
-    if page_id is not None and not isinstance(page_id, str):
-        raise ManifestError("'page_id' must be a string")
-    split = None
-    if "split" in record:
-        try:
-            split = _SPLIT_BY_NAME[record["split"]]
-        except (KeyError, TypeError):  # TypeError: a list or object as the split
-            raise ManifestError(f"unknown split {record['split']!r}") from None
-    agreement = get("agreement")
-    if isinstance(agreement, (bool, str, list, dict)):  # any JSON value but a number or null
-        raise ManifestError("'agreement' must be a number")
-
     entries = get("transcriptions")
     if not isinstance(entries, list) or not entries:
         raise ManifestError("'transcriptions' must be a non-empty list")
+    split = get("split")
+    if split is None and "split" in record:
+        raise ManifestError("unknown split None")
     transcriptions = []
     for entry in entries:
         if not isinstance(entry, dict):
             raise ManifestError("transcription entry must be an object")
-        text = entry.get("text")
-        if not isinstance(text, str):
-            raise ManifestError("transcription is missing a string 'text'")
-        tag = entry.get("source")
-        annotator = entry.get("annotator")
+        pair = entry.get("source"), entry.get("annotator")
         try:
-            source = sources[tag, annotator]
+            source = sources[pair]
         except (KeyError, TypeError):  # a new pair, or an unhashable value in it
-            source = None
-            try:
-                kind = _KIND_BY_TAG[tag]
-            except (KeyError, TypeError):
-                raise ManifestError(f"unknown source tag {tag!r}") from None
-            if annotator is not None and not isinstance(annotator, str):
-                raise ManifestError("'annotator' must be a string")
+            source = sources[pair] = TranscriptionSource(*pair)
         uncertain = entry.get("uncertain", False)
-        if not isinstance(uncertain, bool):
-            raise ManifestError("'uncertain' must be a boolean")
-        if source is None:
-            source = sources[tag, annotator] = TranscriptionSource(kind, annotator)
-        transcriptions.append(Transcription(text, source, uncertain))
-    return TranscribedLine(line_id, image, transcriptions, page_id, split, agreement)
+        transcriptions.append(Transcription(entry.get("text"), source, uncertain))
+    return TranscribedLine(
+        get("line_id"), get("image"), transcriptions, get("page_id"), split, get("agreement")
+    )
 
 
 def parse_manifest(path: str | Path) -> Corpus:
     """Read a newline-delimited JSON manifest, preserving record order.
 
     Each line must be UTF-8 and hold one JSON object (a line of JSON
-    whitespace alone is skipped) whose fields have the JSON types and
-    presence of the schema in this module's docstring, with a ``line_id`` no
-    earlier line used. The records' constructors own every value rule, and
-    their ``ValueError`` gets the same context. One ``TranscriptionSource``
-    is shared per ``(source, annotator)`` pair.
+    whitespace alone is skipped) with a non-empty list of transcription
+    objects, no null ``split`` and a ``line_id`` no earlier line used. The
+    records' constructors check every field's type and value, and their
+    ``ValueError`` gets the same context. One ``TranscriptionSource`` is
+    shared per ``(source, annotator)`` pair.
 
     Raises:
         ManifestError: naming ``file:line`` (and the ``line_id``, once the

@@ -247,56 +247,75 @@ def reference_breaks_row(value: str) -> bool:
 
 
 def _parse_transcription(entry: object, context: str, sources: dict) -> Transcription:
+    # The reading's rules in the order the constructors check them: its
+    # source's, then its text's and ``uncertain``'s.
     if not isinstance(entry, dict):
         raise ManifestError(f"{context}: transcription entry must be an object")
-    text = entry.get("text")
-    if not isinstance(text, str):
-        raise ManifestError(f"{context}: transcription is missing a string 'text'")
     tag = entry.get("source")
     try:
         kind = _KIND_BY_TAG[tag]
     except (KeyError, TypeError):  # TypeError: a list or object as the tag
         raise ManifestError(f"{context}: unknown source tag {tag!r}") from None
     annotator = entry.get("annotator")
-    if annotator is not None and not isinstance(annotator, str):
-        raise ManifestError(f"{context}: 'annotator' must be a string")
+    if annotator is not None:
+        if not isinstance(annotator, str):
+            raise ManifestError(f"{context}: 'annotator' must be a string")
+        if kind is not SourceKind.HUMAN:
+            raise ManifestError(
+                f"{context}: annotator_id is only allowed on human transcriptions"
+            )
+        _require_utf8("annotator", annotator, context)
+    text = entry.get("text")
+    if not isinstance(text, str):
+        raise ManifestError(f"{context}: transcription is missing a string 'text'")
+    cleaned = reference_normalize_text(text)
+    if not cleaned:
+        raise ManifestError(f"{context}: transcription text is empty after normalization")
+    _require_utf8("text", cleaned, context)
     uncertain = entry.get("uncertain", False)
     if not isinstance(uncertain, bool):
         raise ManifestError(f"{context}: 'uncertain' must be a boolean")
-    # Each surrogate scan runs where its constructor checks, after the rule
-    # that constructor checks first: the annotator only on human readings,
-    # the text not blank.
-    if annotator is not None and kind is SourceKind.HUMAN:
-        _require_utf8("annotator", annotator, context)
-    try:
-        source = sources.get((tag, annotator))
-        if source is None:
-            source = sources[tag, annotator] = TranscriptionSource(kind, annotator)
-    except ValueError as exc:
-        raise ManifestError(f"{context}: {exc}") from exc
-    cleaned = reference_normalize_text(text)
-    if cleaned:
-        _require_utf8("text", cleaned, context)
-    try:
-        return Transcription(text, source, uncertain)
-    except ValueError as exc:
-        raise ManifestError(f"{context}: {exc}") from exc
+    source = sources.get((tag, annotator))
+    if source is None:
+        source = sources[tag, annotator] = TranscriptionSource(kind, annotator)
+    return Transcription(text, source, uncertain)
 
 
 def _parse_line(record: object, context: str, sources: dict) -> TranscribedLine:
+    # The line's JSON shape first, then each reading's rules, then the
+    # line's own, in the order ``TranscribedLine`` checks them.
     if not isinstance(record, dict):
         raise ManifestError(f"{context}: record must be a JSON object")
     line_id = record.get("line_id")
+    if isinstance(line_id, str) and line_id:
+        context = f"{context} (line_id {line_id!r})"
+    entries = record.get("transcriptions")
+    if not isinstance(entries, list) or not entries:
+        raise ManifestError(f"{context}: 'transcriptions' must be a non-empty list")
+    if "split" in record and record["split"] is None:
+        raise ManifestError(f"{context}: unknown split None")
+    transcriptions = []
+    human_count = 0
+    for entry in entries:
+        t = _parse_transcription(entry, context, sources)
+        human_count += t.source.kind is SourceKind.HUMAN
+        transcriptions.append(t)
+
     if not isinstance(line_id, str) or not line_id:
         raise ManifestError(f"{context}: missing or empty 'line_id'")
-    context = f"{context} (line_id {line_id!r})"
     image = record.get("image")
     if not isinstance(image, str) or not image:
         raise ManifestError(f"{context}: missing or empty 'image'")
     page_id = record.get("page_id")
     if page_id is not None and not isinstance(page_id, str):
         raise ManifestError(f"{context}: 'page_id' must be a string")
-
+    # The image must fit a TSV field: no row break, then no unpaired surrogate.
+    if reference_breaks_row(image):
+        raise ManifestError(
+            f"{context}: 'image' {image!r} contains a tab or newline and cannot be "
+            "written as a TSV row"
+        )
+    _require_utf8("image", image, context)
     split = None
     if "split" in record:
         try:
@@ -307,26 +326,6 @@ def _parse_line(record: object, context: str, sources: dict) -> TranscribedLine:
     if agreement is not None:
         if isinstance(agreement, bool) or not isinstance(agreement, (int, float)):
             raise ManifestError(f"{context}: 'agreement' must be a number")
-
-    entries = record.get("transcriptions")
-    if not isinstance(entries, list) or not entries:
-        raise ManifestError(f"{context}: 'transcriptions' must be a non-empty list")
-    transcriptions = []
-    human_count = 0
-    for entry in entries:
-        t = _parse_transcription(entry, context, sources)
-        human_count += t.source.kind is SourceKind.HUMAN
-        transcriptions.append(t)
-    # The line's value rules, in the order ``TranscribedLine`` checks them,
-    # once every transcription is built. The image must fit a TSV field: no
-    # row break, then no unpaired surrogate.
-    if reference_breaks_row(image):
-        raise ManifestError(
-            f"{context}: 'image' {image!r} contains a tab or newline and cannot be "
-            "written as a TSV row"
-        )
-    _require_utf8("image", image, context)
-    if agreement is not None:
         try:
             agreement = float(agreement)
         except OverflowError:
@@ -357,10 +356,12 @@ def reference_parse_manifest(path) -> Corpus:
     """``corpus.parse_manifest`` before the one-pass parser: each line goes
     through ``_parse_line`` and ``_parse_transcription`` with an eagerly
     built ``file:line (line_id ...)`` context, and every record through its
-    public constructor. Blank lines were those ``str.strip`` empties. The
-    row-break, agreement and surrogate checks are its own, moved to where
-    the constructors now check them, so a lone surrogate names its
-    ``line_id`` and a faulty transcription is reported before them."""
+    public constructor. Blank lines were those ``str.strip`` empties. Every
+    rule's check and message is its own, in the constructors' order: the
+    line's JSON shape, then each reading's source, text and ``uncertain``,
+    then the line's fields, so a faulty transcription is reported before a
+    missing image. The context names a valid ``line_id`` whatever fault is
+    reported."""
     path = Path(path)
     name = path.name
     lines: list[TranscribedLine] = []

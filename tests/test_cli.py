@@ -53,7 +53,8 @@ class TestExitCodes:
         bad.write_text('{"line_id": "A"}\n', encoding="utf-8")
         assert run("validate", bad) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert "line_id 'A'" in err and "image" in err
+        # The parser checks the line's shape before any field's rule.
+        assert "line_id 'A'" in err and "'transcriptions' must be a non-empty list" in err
 
     def test_io_failure_is_3(self, tmp_path, capsys):
         assert run("stats", tmp_path / "missing.jsonl") == EXIT_IO
@@ -1007,6 +1008,18 @@ class TestManifestBoundary:
         out = tmp_path / "out.jsonl"
         assert run("filter", path, "-o", out, "--min-agreement", "0") == EXIT_OK
         assert [line.agreement for line in parse_manifest(out)] == [0.0, 100.0]
+
+    def test_negative_zero_threshold_is_zero(self, scored, tmp_path, capsys):
+        kept = []
+        for threshold in ("-0", "0"):
+            out = tmp_path / f"kept{threshold}.jsonl"
+            argv = ["--json", "filter", scored, "-o", out, "--min-agreement", threshold]
+            assert run(*argv) == EXIT_OK
+            captured = capsys.readouterr()
+            assert captured.out.splitlines()[0].split() == ["Threshold", "0%"]
+            assert '"threshold": 0.0,' in captured.err.splitlines()[-1]
+            kept.append(out.read_bytes())
+        assert kept[0] == kept[1]
 
     def test_invalid_utf8_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import json
 import pickle
 
 import pytest
@@ -16,6 +17,7 @@ from aggrescribe import (
     ConsensusResult,
     Corpus,
     EmissionRecord,
+    ManifestError,
     RasaSelection,
     SourceKind,
     Split,
@@ -277,16 +279,19 @@ class TestValuesActAsMembers:
         line = _two_readings("auto:pylaia", None)
         assert [t.text for t in canonical_transcriptions(line)] == ["bonjour", "bonsoir"]
 
-    @pytest.mark.parametrize("value", ["bogus", "TRAIN", "Human", Strategy.ALL_HUMAN, 1, ["train"]])
+    @pytest.mark.parametrize(
+        "value", ["bogus", "TRAIN", "Human", Strategy.ALL_HUMAN, 1, ["train"], 2.5, True, {}]
+    )
     def test_other_values_refused(self, value):
-        with pytest.raises(ValueError):
-            _two_readings(SourceKind.AUTO_DAN, value)
-        with pytest.raises(ValueError):
-            LINE.with_split(value)
-        with pytest.raises(ValueError):
-            EmissionRecord("img/L1.png", "bonjour", value, HUMAN)
-        with pytest.raises(ValueError):
-            TranscriptionSource(value)
+        for build, refusal in [
+            (lambda: _two_readings(SourceKind.AUTO_DAN, value), "unknown split"),
+            (lambda: LINE.with_split(value), "unknown split"),
+            (lambda: EmissionRecord("img/L1.png", "bonjour", value, HUMAN), "unknown split"),
+            (lambda: TranscriptionSource(value), "unknown source tag"),
+        ]:
+            with pytest.raises(ValueError) as excinfo:
+                build()
+            assert str(excinfo.value) == f"{refusal} {value!r}"
 
     def test_emission_record_refuses_no_split(self):
         with pytest.raises(ValueError):
@@ -296,6 +301,63 @@ class TestValuesActAsMembers:
     def test_uncertain_must_be_a_bool(self, uncertain):
         with pytest.raises(ValueError, match="'uncertain' must be a boolean"):
             Transcription("bonjour", HUMAN, uncertain)
+
+
+#: A value of each JSON type but string and null, which no string field takes.
+_WRONG_TYPES = [5, 2.5, True, ["a"], {"a": 1}]
+
+#: Per record field, its manifest key and the manifest's message for a value
+#: of the wrong type; ``None`` is included where the field is required.
+_TYPE_RULES = [
+    ("kind", "source", [*_WRONG_TYPES, None], "unknown source tag {!r}"),
+    ("annotator_id", "annotator", _WRONG_TYPES, "'annotator' must be a string"),
+    ("text", "text", [*_WRONG_TYPES, None], "transcription is missing a string 'text'"),
+    ("uncertain", "uncertain", [5, 2.5, ["a"], {"a": 1}, None], "'uncertain' must be a boolean"),
+    ("line_id", "line_id", [*_WRONG_TYPES, None], "missing or empty 'line_id'"),
+    ("image_ref", "image", [*_WRONG_TYPES, None], "missing or empty 'image'"),
+    ("page_id", "page_id", _WRONG_TYPES, "'page_id' must be a string"),
+    ("split", "split", _WRONG_TYPES, "unknown split {!r}"),
+    ("agreement", "agreement", [True, "50", ["a"], {"a": 1}], "'agreement' must be a number"),
+]
+
+
+def _build_with(field, value):
+    """One line built through the three constructors, with ``field`` set to
+    ``value``."""
+    fields = dict(kind="human", annotator_id="u1", text="bonjour", uncertain=False,
+                  line_id="L1", image_ref="img/L1.png", page_id="P1", split="train",
+                  agreement=50.0)
+    fields[field] = value
+    source = TranscriptionSource(fields.pop("kind"), fields.pop("annotator_id"))
+    reading = Transcription(fields.pop("text"), source, fields.pop("uncertain"))
+    return TranscribedLine(transcriptions=[reading], **fields)
+
+
+class TestWrongTypes:
+    """A wrongly typed field makes its constructor raise ``ValueError`` with
+    the message a manifest line gets for the same value."""
+
+    @pytest.mark.parametrize(
+        "field, key, value, message",
+        [pytest.param(field, key, value, message.format(value), id=f"{field}={value!r}")
+         for field, key, values, message in _TYPE_RULES
+         for value in values],
+    )
+    def test_refused_with_the_manifest_message(self, field, key, value, message, tmp_path):
+        with pytest.raises(ValueError) as excinfo:
+            _build_with(field, value)
+        assert excinfo.type is ValueError
+        assert str(excinfo.value) == message
+        rec = {"line_id": "L1", "image": "img/L1.png", "page_id": "P1", "split": "train",
+               "agreement": 50.0, "transcriptions": [{"text": "bonjour", "source": "human",
+                                                      "annotator": "u1", "uncertain": False}]}
+        owner = rec if key in rec else rec["transcriptions"][0]
+        owner[key] = value
+        path = tmp_path / "typed.jsonl"
+        path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+        with pytest.raises(ManifestError) as excinfo:
+            parse_manifest(path)
+        assert str(excinfo.value).endswith(f": {message}")
 
 
 #: Strings a constructor must keep or refuse: each odd character alone, and
