@@ -21,7 +21,7 @@ from .corpus import (
     _ROVER_ONE,
     _SPLIT_BY_NAME,
     _TEST,
-    _check_tsv_field,
+    _check_text,
     _member,
     ManifestError,
     Record,
@@ -40,20 +40,23 @@ from .splits import SeededRng
 
 
 class EmissionRecord(Record):
-    """One ``image<TAB>text`` TSV row. The constructor refuses a field with a tab,
-    a line break or an unpaired surrogate, and a split that is neither a
-    ``Split`` nor a member's value (``ValueError``), so any can be written."""
+    """One ``image<TAB>text`` TSV row, whose two fields fit the row, with its
+    ``Split`` (or a member's value) and ``TranscriptionSource``."""
 
     __slots__ = ("image_ref", "text", "split", "source")
 
     def __init__(
         self, image_ref: str, text: str, split: Split | str, source: TranscriptionSource
     ) -> None:
-        if not (image_ref.isprintable() and text.isprintable()):
-            _check_tsv_field("image_ref", image_ref)
-            _check_tsv_field("text", text)
+        # Most rows are two printable strings, which need no other check.
+        if not (image_ref.__class__ is str and text.__class__ is str
+                and image_ref.isprintable() and text.isprintable()):
+            _check_text("image_ref", image_ref, row=True)
+            _check_text("text", text, row=True)
         if split.__class__ is not Split:
             split = _member(_SPLIT_BY_NAME, split, "unknown split")
+        if source.__class__ is not TranscriptionSource:
+            raise ValueError("'source' must be a TranscriptionSource")
         _set(self, "image_ref", image_ref)
         _set(self, "text", text)
         _set(self, "split", split)

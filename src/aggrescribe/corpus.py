@@ -14,7 +14,12 @@ as character edits downstream.
 
 The record constructors are the schema: each checks its fields' types and
 values and raises ``ValueError`` with the message a manifest line gets, so
-the parser checks JSON shape only and passes each raw field on.
+the parser checks JSON shape only and passes each raw field on. Each
+constructor checks its fields in signature order, every string through
+``_check_text``, so a line that breaks several rules is reported at its
+JSON shape, then at each reading's source tag, annotator, text or
+``uncertain``, then at its ``line_id``, ``image``, human count,
+``page_id``, ``split`` or ``agreement``, whichever fails first.
 
 This module also defines the package's four enums: ``SourceKind`` and
 ``Split``, which a manifest stores, and ``Granularity`` and ``Strategy``,
@@ -89,23 +94,21 @@ def _member(table: dict, value: object, refusal: str) -> Enum:
         raise ValueError(f"{refusal} {value!r}") from None
 
 
-def _check_tsv_field(field: str, value: str) -> None:
-    """Raise ``ValueError`` unless ``value`` fits one field of a TSV row: no
-    tab or character ``str.splitlines`` ends a line at, which would split or
-    shift the row for some reader, then no unpaired surrogate. None of them
-    is printable, so a printable value returns at once."""
+def _check_text(field: str, value: object, row: bool = False) -> None:
+    """Raise ``ValueError`` unless ``value`` is a string with no unpaired
+    surrogate and, with ``row``, no tab or character ``str.splitlines`` ends
+    a line at, which would split or shift a TSV row; a row break is reported
+    first. None of them is printable, so a printable string returns at once."""
+    if not isinstance(value, str):
+        raise ValueError(f"'{field}' must be a string")
     if value.isprintable():
         return
-    if "\t" in value or "".join(value.splitlines()) != value:
+    if row and ("\t" in value or "".join(value.splitlines()) != value):
         raise ValueError(
             f"'{field}' {value!r} contains a tab or newline and cannot be written as a TSV row"
         )
-    _refuse_lone_surrogate(field, value)
-
-
-def _refuse_lone_surrogate(field: str, value: str) -> None:
     # A \ud800-style JSON escape parses to a lone surrogate, which no UTF-8
-    # file can hold. None is printable, so callers pass only values that are not.
+    # file can hold.
     try:
         value.encode("utf-8")
     except UnicodeEncodeError:
@@ -178,9 +181,8 @@ class Record:
 
 
 class TranscriptionSource(Record):
-    """Who or what made a reading. ``kind`` is a ``SourceKind`` or its value,
-    and ``annotator_id`` ``None`` or a string with no unpaired surrogate, on
-    a human reading only; otherwise the constructor raises ``ValueError``."""
+    """Who or what made a reading: a ``SourceKind`` or its value, and on a
+    human reading only, an ``annotator_id`` string."""
 
     __slots__ = ("kind", "annotator_id")
 
@@ -188,21 +190,17 @@ class TranscriptionSource(Record):
         if kind.__class__ is not SourceKind:
             kind = _member(_KIND_BY_TAG, kind, "unknown source tag")
         if annotator_id is not None:
-            if not isinstance(annotator_id, str):
-                raise ValueError("'annotator' must be a string")
+            _check_text("annotator", annotator_id)
             if kind is not _HUMAN:
                 raise ValueError("annotator_id is only allowed on human transcriptions")
-            if not annotator_id.isprintable():
-                _refuse_lone_surrogate("annotator", annotator_id)
         _set(self, "kind", kind)
         _set(self, "annotator_id", annotator_id)
 
 
 class Transcription(Record):
-    """One candidate text for a line. The text must be a string, which is
-    normalized on construction and must be non-empty afterwards, with no
-    unpaired surrogate, and ``uncertain`` must be a bool; otherwise the
-    constructor raises ``ValueError``."""
+    """One candidate text for a line, normalized on construction and
+    non-empty afterwards, with its ``TranscriptionSource`` and a bool
+    ``uncertain``."""
 
     __slots__ = ("text", "source", "uncertain")
 
@@ -212,8 +210,10 @@ class Transcription(Record):
         cleaned, printable = _normalize(text)
         if not cleaned:
             raise ValueError("transcription text is empty after normalization")
-        if not (printable or cleaned.isprintable()):
-            _refuse_lone_surrogate("text", cleaned)
+        if not printable:
+            _check_text("text", cleaned)
+        if source.__class__ is not TranscriptionSource:
+            raise ValueError("'source' must be a TranscriptionSource")
         if uncertain.__class__ is not bool:
             raise ValueError("'uncertain' must be a boolean")
         _set(self, "text", cleaned)
@@ -222,17 +222,11 @@ class Transcription(Record):
 
 
 class TranscribedLine(Record):
-    """One text-line image with its set of candidate transcriptions.
-
-    The constructor raises ``ValueError`` unless, in this order, ``line_id``
-    and ``image_ref`` are non-empty strings, ``page_id`` is ``None`` or a
-    string, the image fits a TSV field (no tab, no line break, no unpaired
-    surrogate), ``split`` is ``None``, a ``Split`` or a member's value (kept
-    as the member), ``agreement`` is ``None`` or a number in [0, 100] (kept
-    as a float), the line holds one or two human transcriptions, and
-    ``line_id`` and ``page_id`` hold no unpaired surrogate. So any line can
-    be written, read back and emitted, and no step checks for a missing
-    human reading again.
+    """One text-line image with one or two human transcriptions among its
+    candidates, an optional ``page_id`` and ``split`` (kept as the member),
+    and an optional ``agreement`` in [0, 100] (kept as a float). Its
+    ``image_ref`` fits a TSV field, so any line can be written, read back
+    and emitted, and no step checks for a missing human reading again.
     """
 
     __slots__ = ("line_id", "image_ref", "transcriptions", "page_id", "split", "agreement")
@@ -246,14 +240,23 @@ class TranscribedLine(Record):
         split: Split | str | None = None,
         agreement: float | None = None,
     ) -> None:
-        transcriptions = tuple(transcriptions)
         if not (isinstance(line_id, str) and line_id):
             raise ValueError("missing or empty 'line_id'")
+        _check_text("line_id", line_id)
         if not (isinstance(image_ref, str) and image_ref):
             raise ValueError("missing or empty 'image'")
-        if page_id is not None and not isinstance(page_id, str):
-            raise ValueError("'page_id' must be a string")
-        _check_tsv_field("image", image_ref)
+        _check_text("image", image_ref, row=True)
+        transcriptions = tuple(transcriptions)
+        humans = 0
+        for t in transcriptions:
+            if t.__class__ is not Transcription:
+                raise ValueError("'transcriptions' must hold only Transcription records")
+            if t.source.kind is _HUMAN:
+                humans += 1
+        if humans != 1 and humans != 2:
+            raise ValueError(f"expected 1 or 2 human transcriptions, found {humans}")
+        if page_id is not None:
+            _check_text("page_id", page_id)
         if split.__class__ is not Split and split is not None:
             split = _member(_SPLIT_BY_NAME, split, "unknown split")
         if agreement.__class__ is not float and agreement is not None:
@@ -265,16 +268,6 @@ class TranscribedLine(Record):
                 raise ValueError("'agreement' is too large for a float") from None
         if agreement is not None and not 0.0 <= agreement <= 100.0:  # NaN too
             raise ValueError(f"'agreement' must be in [0, 100], got {agreement}")
-        humans = 0
-        for t in transcriptions:
-            if t.source.kind is _HUMAN:
-                humans += 1
-        if humans != 1 and humans != 2:
-            raise ValueError(f"expected 1 or 2 human transcriptions, found {humans}")
-        if not line_id.isprintable():
-            _refuse_lone_surrogate("line_id", line_id)
-        if page_id is not None and not page_id.isprintable():
-            _refuse_lone_surrogate("page_id", page_id)
         _set(self, "line_id", line_id)
         _set(self, "image_ref", image_ref)
         _set(self, "transcriptions", transcriptions)

@@ -240,15 +240,16 @@ def reference_normalize_text(text: str) -> str:
 
 
 def reference_breaks_row(value: str) -> bool:
-    """The row-break half of ``corpus._check_tsv_field``, without its fast
-    path for printable values: whether ``value`` holds a tab or a character
-    ``str.splitlines`` ends a line at."""
+    """The row-break rule of ``corpus._check_text(..., row=True)``, without
+    its fast path for printable values: whether ``value`` holds a tab or a
+    character ``str.splitlines`` ends a line at."""
     return "\t" in value or "".join(value.splitlines()) != value
 
 
 def _parse_transcription(entry: object, context: str, sources: dict) -> Transcription:
     # The reading's rules in the order the constructors check them: its
-    # source's, then its text's and ``uncertain``'s.
+    # source tag, its annotator (a string, no unpaired surrogate, on a human
+    # reading only), then its text and ``uncertain``.
     if not isinstance(entry, dict):
         raise ManifestError(f"{context}: transcription entry must be an object")
     tag = entry.get("source")
@@ -260,11 +261,11 @@ def _parse_transcription(entry: object, context: str, sources: dict) -> Transcri
     if annotator is not None:
         if not isinstance(annotator, str):
             raise ManifestError(f"{context}: 'annotator' must be a string")
+        _require_utf8("annotator", annotator, context)
         if kind is not SourceKind.HUMAN:
             raise ManifestError(
                 f"{context}: annotator_id is only allowed on human transcriptions"
             )
-        _require_utf8("annotator", annotator, context)
     text = entry.get("text")
     if not isinstance(text, str):
         raise ManifestError(f"{context}: transcription is missing a string 'text'")
@@ -283,7 +284,8 @@ def _parse_transcription(entry: object, context: str, sources: dict) -> Transcri
 
 def _parse_line(record: object, context: str, sources: dict) -> TranscribedLine:
     # The line's JSON shape first, then each reading's rules, then the
-    # line's own, in the order ``TranscribedLine`` checks them.
+    # line's own in ``TranscribedLine``'s signature order: line_id, image,
+    # human count, page_id, split, agreement.
     if not isinstance(record, dict):
         raise ManifestError(f"{context}: record must be a JSON object")
     line_id = record.get("line_id")
@@ -303,12 +305,10 @@ def _parse_line(record: object, context: str, sources: dict) -> TranscribedLine:
 
     if not isinstance(line_id, str) or not line_id:
         raise ManifestError(f"{context}: missing or empty 'line_id'")
+    _require_utf8("line_id", line_id, context)
     image = record.get("image")
     if not isinstance(image, str) or not image:
         raise ManifestError(f"{context}: missing or empty 'image'")
-    page_id = record.get("page_id")
-    if page_id is not None and not isinstance(page_id, str):
-        raise ManifestError(f"{context}: 'page_id' must be a string")
     # The image must fit a TSV field: no row break, then no unpaired surrogate.
     if reference_breaks_row(image):
         raise ManifestError(
@@ -316,6 +316,15 @@ def _parse_line(record: object, context: str, sources: dict) -> TranscribedLine:
             "written as a TSV row"
         )
     _require_utf8("image", image, context)
+    if human_count not in (1, 2):
+        raise ManifestError(
+            f"{context}: expected 1 or 2 human transcriptions, found {human_count}"
+        )
+    page_id = record.get("page_id")
+    if page_id is not None:
+        if not isinstance(page_id, str):
+            raise ManifestError(f"{context}: 'page_id' must be a string")
+        _require_utf8("page_id", page_id, context)
     split = None
     if "split" in record:
         try:
@@ -333,13 +342,6 @@ def _parse_line(record: object, context: str, sources: dict) -> TranscribedLine:
         # Also rejects NaN, which compares false with everything.
         if not 0.0 <= agreement <= 100.0:
             raise ManifestError(f"{context}: 'agreement' must be in [0, 100], got {agreement}")
-    if human_count not in (1, 2):
-        raise ManifestError(
-            f"{context}: expected 1 or 2 human transcriptions, found {human_count}"
-        )
-    for name, value in (("line_id", line_id), ("page_id", page_id)):
-        if value is not None:
-            _require_utf8(name, value, context)
     return TranscribedLine(line_id, image, tuple(transcriptions), page_id, split, agreement)
 
 
@@ -358,10 +360,11 @@ def reference_parse_manifest(path) -> Corpus:
     built ``file:line (line_id ...)`` context, and every record through its
     public constructor. Blank lines were those ``str.strip`` empties. Every
     rule's check and message is its own, in the constructors' order: the
-    line's JSON shape, then each reading's source, text and ``uncertain``,
-    then the line's fields, so a faulty transcription is reported before a
-    missing image. The context names a valid ``line_id`` whatever fault is
-    reported."""
+    line's JSON shape, then each reading's source, annotator, text and
+    ``uncertain``, then the line's fields in signature order, so a faulty
+    transcription is reported before a missing image, and a lone surrogate
+    in ``line_id`` before a wrong human count. The context names a valid
+    ``line_id`` whatever fault is reported."""
     path = Path(path)
     name = path.name
     lines: list[TranscribedLine] = []

@@ -23,7 +23,7 @@ from aggrescribe import (
     parse_manifest,
     write_manifest,
 )
-from aggrescribe.corpus import _check_tsv_field, atomic_write_text
+from aggrescribe.corpus import _check_text, atomic_write_text
 from oracles import (
     reference_breaks_row,
     reference_normalize_text,
@@ -78,19 +78,25 @@ class TestNormalization:
     def test_matches_reference(self, text):
         assert normalize_text(text) == reference_normalize_text(text)
 
-    @given(value=st.text(alphabet=_SPACES_AND_MORE, max_size=12) | st.text(max_size=12))
-    @example("a\ud800")
-    @example("\t\ud800")
-    def test_row_break_check_matches_reference(self, value):
-        # A row break is reported first, then an unpaired surrogate, which
-        # no UTF-8 file can hold; any other value fits a TSV field.
+    @given(
+        value=st.text(alphabet=_SPACES_AND_MORE, max_size=12) | st.text(max_size=12),
+        row=st.booleans(),
+    )
+    @example("a\ud800", True)
+    @example("\t\ud800", True)
+    @example("\t\ud800", False)
+    @example("a\nb", False)
+    def test_row_break_check_matches_reference(self, value, row):
+        # With ``row``, a row break is reported first; then, row or not, an
+        # unpaired surrogate, which no UTF-8 file can hold. Any other string
+        # passes.
         try:
             value.encode("utf-8")
         except UnicodeEncodeError:
             encodable = False
         else:
             encodable = True
-        if reference_breaks_row(value):
+        if row and reference_breaks_row(value):
             expected = (
                 f"'image' {value!r} contains a tab or newline and cannot be written as a TSV row"
             )
@@ -99,11 +105,19 @@ class TestNormalization:
         else:
             expected = None
         try:
-            _check_tsv_field("image", value)
+            _check_text("image", value, row=row)
         except ValueError as exc:
             assert str(exc) == expected
         else:
             assert expected is None
+
+    @pytest.mark.parametrize("row", [False, True])
+    @pytest.mark.parametrize("value", [5, 2.5, True, b"a", ["a"], {}, None])
+    def test_text_check_refuses_a_non_string(self, value, row):
+        with pytest.raises(ValueError) as excinfo:
+            _check_text("page_id", value, row=row)
+        assert excinfo.type is ValueError
+        assert str(excinfo.value) == "'page_id' must be a string"
 
 
 class TestDomainTypes:

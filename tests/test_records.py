@@ -359,6 +359,31 @@ class TestWrongTypes:
             parse_manifest(path)
         assert str(excinfo.value).endswith(f": {message}")
 
+    @pytest.mark.parametrize("value", [5, 2.5, True, ["a"], {}, None])
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda v: EmissionRecord(v, "bonjour", Split.TRAIN, HUMAN),
+             "'image_ref' must be a string"),
+            (lambda v: EmissionRecord("img/L1.png", v, Split.TRAIN, HUMAN),
+             "'text' must be a string"),
+            (lambda v: EmissionRecord("img/L1.png", "bonjour", Split.TRAIN, v),
+             "'source' must be a TranscriptionSource"),
+            (lambda v: Transcription("bonjour", v), "'source' must be a TranscriptionSource"),
+            (lambda v: TranscribedLine("L1", "img/L1.png", [v]),
+             "'transcriptions' must hold only Transcription records"),
+        ],
+        ids=["emission-image_ref", "emission-text", "emission-source", "transcription-source",
+             "line-transcriptions-item"],
+    )
+    def test_library_only_fields_refused(self, build, message, value):
+        # Fields a manifest cannot hold a wrong type in, since the parser
+        # builds them, or which only ``emit`` builds.
+        with pytest.raises(ValueError) as excinfo:
+            build(value)
+        assert excinfo.type is ValueError
+        assert str(excinfo.value) == message
+
 
 #: Strings a constructor must keep or refuse: each odd character alone, and
 #: mixes of tabs, line breaks, lone surrogates, spaces, quotes, controls and
