@@ -63,9 +63,6 @@ class EmissionRecord(Record):
         _set(self, "source", source)
 
 
-_FILENAMES = {Split.TRAIN: "train.tsv", Split.VALIDATION: "val.tsv", Split.TEST: "test.tsv"}
-
-
 def _aggregate(line: TranscribedLine, kind: SourceKind) -> Transcription:
     for t in line.transcriptions:
         if t.source.kind is kind:
@@ -126,12 +123,12 @@ def emit(corpus: Corpus, strategy: Strategy | str, seed: int = 0) -> list[Emissi
 
 
 def write_ground_truth(records: Sequence[EmissionRecord], directory: str | Path) -> dict[str, int]:
-    """Write ``train.tsv``, ``val.tsv`` and ``test.tsv`` (one
-    ``image<TAB>text`` row per record, record order preserved) and return
-    the rows written per split value, in train/val/test order.
+    """Write ``<value>.tsv`` for each ``Split`` value, in member order
+    (``train.tsv``, ``val.tsv``, ``test.tsv``): one ``image<TAB>text`` row per
+    record, record order preserved. Return the rows written per split value.
 
-    All three files are written even when empty. Every ``EmissionRecord``
-    fits its row, so nothing is checked here.
+    Every file is written, even when empty. Every ``EmissionRecord`` fits
+    its row, so nothing is checked here.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -139,6 +136,6 @@ def write_ground_truth(records: Sequence[EmissionRecord], directory: str | Path)
     buckets: dict[str, list[str]] = {split.value: [] for split in Split}
     for record in records:
         buckets[record.split._value_].append(f"{record.image_ref}\t{record.text}\n")
-    for split, filename in _FILENAMES.items():
-        atomic_write_text(directory / filename, "".join(buckets[split.value]))
+    for value, rows in buckets.items():
+        atomic_write_text(directory / f"{value}.tsv", "".join(rows))
     return {value: len(rows) for value, rows in buckets.items()}

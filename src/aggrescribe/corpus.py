@@ -115,6 +115,16 @@ def _check_text(field: str, value: object, row: bool = False) -> None:
         raise ValueError(f"'{field}' contains an unpaired surrogate") from None
 
 
+def _items(value: object, refusal: str) -> tuple:
+    """``value``'s items as a tuple, or ``ValueError(refusal)`` if it does
+    not iterate. An error raised while iterating propagates as it is."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise ValueError(refusal) from None
+    return tuple(items)
+
+
 def _normalize(text: str) -> tuple[str, bool]:
     """``normalize_text``'s result, and whether it is known to be printable."""
     text = unicodedata.normalize("NFC", text)
@@ -246,11 +256,12 @@ class TranscribedLine(Record):
         if not (isinstance(image_ref, str) and image_ref):
             raise ValueError("missing or empty 'image'")
         _check_text("image", image_ref, row=True)
-        transcriptions = tuple(transcriptions)
+        refusal = "'transcriptions' must hold only Transcription records"
+        transcriptions = _items(transcriptions, refusal)
         humans = 0
         for t in transcriptions:
             if t.__class__ is not Transcription:
-                raise ValueError("'transcriptions' must hold only Transcription records")
+                raise ValueError(refusal)
             if t.source.kind is _HUMAN:
                 humans += 1
         if humans != 1 and humans != 2:
@@ -300,14 +311,18 @@ class TranscribedLine(Record):
 
 
 class Corpus(Record):
-    """Immutable ordered collection of lines with distinct line_ids."""
+    """Immutable ordered collection of ``TranscribedLine`` records with
+    distinct line_ids."""
 
     __slots__ = ("lines",)
 
     def __init__(self, lines: tuple[TranscribedLine, ...]) -> None:
-        lines = tuple(lines)
+        refusal = "'lines' must hold only TranscribedLine records"
+        lines = _items(lines, refusal)
         seen: set[str] = set()
         for line in lines:
+            if line.__class__ is not TranscribedLine:
+                raise ValueError(refusal)
             if line.line_id in seen:
                 raise ValueError(f"duplicate line_id {line.line_id!r}")
             seen.add(line.line_id)
@@ -383,8 +398,8 @@ def parse_manifest(path: str | Path) -> Corpus:
             line has a valid one) for the first line that breaks a rule.
     """
     path = Path(path)
-    lines: list[TranscribedLine] = []
-    seen: set[str] = set()
+    # By line_id, in file order.
+    lines: dict[str, TranscribedLine] = {}
     sources: dict = {}
     # Binary mode, so that a decoding error names its line.
     with path.open("rb") as handle:
@@ -411,11 +426,10 @@ def parse_manifest(path: str | Path) -> Corpus:
                 line_id = record.get("line_id") if isinstance(record, dict) else None
                 named = f" (line_id {line_id!r})" if isinstance(line_id, str) and line_id else ""
                 raise ManifestError(f"{path.name}:{lineno}{named}: {exc}") from None
-            if line.line_id in seen:
+            if line.line_id in lines:
                 raise ManifestError(f"{path.name}:{lineno}: duplicate line_id {line.line_id!r}")
-            seen.add(line.line_id)
-            lines.append(line)
-    return Corpus(tuple(lines))
+            lines[line.line_id] = line
+    return Corpus(tuple(lines.values()))
 
 
 #: Numbers this process's temp files, so that a name is unique per process.

@@ -54,14 +54,13 @@ class TokenLattice(Record):
 
     Each slot is a plain ``token -> count`` dict holding only the entries
     that occur, so looking up an absent token raises ``KeyError`` rather
-    than giving 0. Every slot's total multiplicity equals ``num_inputs``,
-    counting the null marker."""
+    than giving 0. Every slot's total multiplicity, the null marker
+    included, equals the number of sequences folded into the lattice."""
 
-    __slots__ = ("slots", "num_inputs")
+    __slots__ = ("slots",)
 
-    def __init__(self, slots: tuple[dict[str | None, int], ...], num_inputs: int) -> None:
+    def __init__(self, slots: tuple[dict[str | None, int], ...]) -> None:
         _set(self, "slots", slots)
-        _set(self, "num_inputs", num_inputs)
 
 
 class ConsensusResult(Record):
@@ -164,11 +163,9 @@ def build_lattice(sequences: Sequence[Sequence[str]]) -> TokenLattice:
     if not sequences:
         raise ValueError("build_lattice requires at least one token sequence")
     slots = [{token: 1} for token in sequences[0]]
-    merged = 1
-    for seq in sequences[1:]:
+    for merged, seq in enumerate(sequences[1:], start=1):
         slots = _merge(slots, merged, seq)
-        merged += 1
-    return TokenLattice(slots=tuple(slots), num_inputs=merged)
+    return TokenLattice(slots=tuple(slots))
 
 
 def vote(lattice: TokenLattice, level: Granularity | str = _CHARACTER) -> ConsensusResult:

@@ -37,7 +37,7 @@ from aggrescribe.corpus import Record
 
 HUMAN = TranscriptionSource(SourceKind.HUMAN, "u1")
 LINE = TranscribedLine("L1", "img/L1.png", (Transcription("bonjour", HUMAN),))
-LATTICE = TokenLattice(({"a": 2}, {"b": 1, None: 1}), 2)
+LATTICE = TokenLattice(({"a": 2}, {"b": 1, None: 1}))
 
 
 def samples():
@@ -66,8 +66,8 @@ def samples():
             StatsReport(3, 2, {"human": 4}, {1: 2, 2: 1}),
         ),
         TokenLattice: (
-            lambda: TokenLattice(({"a": 2}, {"b": 1, None: 1}), 2),
-            TokenLattice(({"a": 2},), 2),
+            lambda: TokenLattice(({"a": 2}, {"b": 1, None: 1})),
+            TokenLattice(({"a": 2},)),
         ),
         ConsensusResult: (
             lambda: ConsensusResult("ab", LATTICE, ("a", "b")),
@@ -381,6 +381,25 @@ class TestWrongTypes:
         # builds them, or which only ``emit`` builds.
         with pytest.raises(ValueError) as excinfo:
             build(value)
+        assert excinfo.type is ValueError
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: TranscribedLine("L1", "img/L1.png", 5),
+             "'transcriptions' must hold only Transcription records"),
+            (lambda: TranscribedLine("L1", "img/L1.png", None),
+             "'transcriptions' must hold only Transcription records"),
+            (lambda: Corpus(["a"]), "'lines' must hold only TranscribedLine records"),
+            (lambda: Corpus(5), "'lines' must hold only TranscribedLine records"),
+        ],
+        ids=["line-transcriptions-int", "line-transcriptions-none", "corpus-item", "corpus-int"],
+    )
+    def test_collection_refused(self, build, message):
+        # A collection that does not iterate, or holds another kind of item.
+        with pytest.raises(ValueError) as excinfo:
+            build()
         assert excinfo.type is ValueError
         assert str(excinfo.value) == message
 

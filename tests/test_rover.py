@@ -147,7 +147,6 @@ class TestLevelValues:
 class TestBuildLattice:
     def test_single_sequence(self):
         lattice = build_lattice([["c", "a", "t"]])
-        assert lattice.num_inputs == 1
         assert [dict(slot) for slot in lattice.slots] == [{"c": 1}, {"a": 1}, {"t": 1}]
 
     def test_shorter_sequence_pads_null(self):
@@ -177,7 +176,6 @@ class TestBuildLattice:
     @given(texts)
     def test_multiplicity_equals_input_count(self, inputs):
         lattice = build_lattice([tokenize(t, CHAR) for t in inputs])
-        assert lattice.num_inputs == len(inputs)
         for slot in lattice.slots:
             assert sum(slot.values()) == len(inputs)
 
@@ -209,7 +207,7 @@ class TestBuildLattice:
         expected = full_table_lattice(sequences)
         lattice = build_lattice(sequences)
         assert [dict(slot) for slot in lattice.slots] == [dict(slot) for slot in expected]
-        text = vote(TokenLattice(tuple(expected), len(inputs)), level).text
+        text = vote(TokenLattice(tuple(expected)), level).text
         assert rover_consensus(inputs, level).text == (inputs[0] if len(inputs) == 1 else text)
 
     @given(
@@ -277,7 +275,7 @@ class TestVote:
 
     def test_tie_goes_to_smallest_real_token_whatever_the_slot_order(self):
         slots = ({"o": 1, "a": 1, "e": 1, NULL: 1}, {"z": 2, "y": 2, NULL: 2}, {NULL: 1})
-        result = vote(TokenLattice(slots, 4), CHAR)
+        result = vote(TokenLattice(slots), CHAR)
         assert result.per_slot_winner == ("a", "y", NULL)
         assert result.text == "ay"
 
