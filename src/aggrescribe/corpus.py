@@ -148,8 +148,10 @@ _set = object.__setattr__
 class Record:
     """Base of the package's immutable value types.
 
-    A subclass lists its fields, in order, as ``__slots__`` and sets them in
-    its own ``__init__`` through ``object.__setattr__``. Records compare
+    A subclass lists its fields, in order, as ``__slots__``. A record without
+    value rules declares nothing more and gets an ``__init__`` that takes and
+    sets each field; a record with rules writes its own ``__init__``, which
+    checks its fields and sets each through ``_set``. Records compare
     equal only to records of the same class whose fields are equal, hash and
     print by their fields, and refuse assignment with ``AttributeError``.
     Unlike a ``NamedTuple`` a record is not a tuple: it neither iterates nor
@@ -158,6 +160,16 @@ class Record:
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # The ``__init__`` a ``def`` would be, compiled as ``namedtuple`` compiles ``__new__``,
+        # for a record that neither writes nor inherits one.
+        if cls.__init__ is object.__init__:
+            sets = "".join(f"\n    _set(self, {name!r}, {name})" for name in cls.__slots__)
+            scope = {"_set": _set, "__name__": cls.__module__}
+            exec(f"def __init__(self, {', '.join(cls.__slots__)}):{sets}", scope)
+            cls.__init__ = scope["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -522,19 +534,10 @@ def write_manifest(corpus: Corpus, path: str | Path) -> None:
 
 
 class StatsReport(Record):
-    __slots__ = ("total_lines", "two_human_lines", "per_source", "transcriptions_per_line")
+    """Counts: ``total_lines`` and ``two_human_lines`` (ints), and the dicts
+    ``per_source`` (tag to readings) and ``transcriptions_per_line`` (readings to lines)."""
 
-    def __init__(
-        self,
-        total_lines: int,
-        two_human_lines: int,
-        per_source: dict[str, int],
-        transcriptions_per_line: dict[int, int],
-    ) -> None:
-        _set(self, "total_lines", total_lines)
-        _set(self, "two_human_lines", two_human_lines)
-        _set(self, "per_source", per_source)
-        _set(self, "transcriptions_per_line", transcriptions_per_line)
+    __slots__ = ("total_lines", "two_human_lines", "per_source", "transcriptions_per_line")
 
     @property
     def two_human_share(self) -> float:

@@ -26,7 +26,6 @@ from .corpus import (
     TranscribedLine,
     Transcription,
     TranscriptionSource,
-    _set,
     canonical_transcriptions,
 )
 
@@ -48,22 +47,13 @@ _SOURCE = TranscriptionSource(_RASA)
 
 
 class RasaSelection(Record):
-    """Chosen input index plus the final per-candidate reliability weights.
-
-    ``iterations`` counts update steps taken; ``converged`` reports whether
-    the weight change dropped below tolerance before the iteration cap.
-    Near-degenerate inputs may run to the cap; the selection is still valid.
-    """
+    """The chosen input's ``index`` (an int), the final per-candidate
+    reliability ``weights`` (a tuple of floats), the update steps taken
+    (``iterations``, an int) and whether the weight change dropped below
+    tolerance before the iteration cap (``converged``, a bool).
+    Near-degenerate inputs may run to the cap; the selection is still valid."""
 
     __slots__ = ("index", "weights", "iterations", "converged")
-
-    def __init__(
-        self, index: int, weights: tuple[float, ...], iterations: int, converged: bool
-    ) -> None:
-        _set(self, "index", index)
-        _set(self, "weights", weights)
-        _set(self, "iterations", iterations)
-        _set(self, "converged", converged)
 
 
 def distance_matrix(texts: Sequence[str]) -> list[list[float]]:

@@ -38,7 +38,6 @@ from .corpus import (
     TranscribedLine,
     Transcription,
     TranscriptionSource,
-    _set,
     canonical_transcriptions,
 )
 
@@ -50,7 +49,7 @@ _SOURCE = TranscriptionSource(_ROVER)
 
 
 class TokenLattice(Record):
-    """Ordered slots of competing tokens.
+    """Ordered slots of competing tokens, a tuple in ``slots``.
 
     Each slot is a plain ``token -> count`` dict holding only the entries
     that occur, so looking up an absent token raises ``KeyError`` rather
@@ -59,19 +58,12 @@ class TokenLattice(Record):
 
     __slots__ = ("slots",)
 
-    def __init__(self, slots: tuple[dict[str | None, int], ...]) -> None:
-        _set(self, "slots", slots)
-
 
 class ConsensusResult(Record):
-    __slots__ = ("text", "lattice", "per_slot_winner")
+    """A vote's ``text`` (a str), the ``TokenLattice`` it came from, and each
+    slot's winner, ``NULL`` for the null marker, in ``per_slot_winner`` (a tuple)."""
 
-    def __init__(
-        self, text: str, lattice: TokenLattice, per_slot_winner: tuple[str | None, ...]
-    ) -> None:
-        _set(self, "text", text)
-        _set(self, "lattice", lattice)
-        _set(self, "per_slot_winner", per_slot_winner)
+    __slots__ = ("text", "lattice", "per_slot_winner")
 
 
 def tokenize(text: str, level: Granularity | str) -> list[str]:
@@ -186,11 +178,7 @@ def vote(lattice: TokenLattice, level: Granularity | str = _CHARACTER) -> Consen
         winners.append(min(tied) if tied else NULL)
     emitted = [w for w in winners if w is not NULL]
     joiner = "" if level is _CHARACTER else " "
-    return ConsensusResult(
-        text=joiner.join(emitted),
-        lattice=lattice,
-        per_slot_winner=tuple(winners),
-    )
+    return ConsensusResult(joiner.join(emitted), lattice, tuple(winners))
 
 
 def rover_consensus(
@@ -208,11 +196,7 @@ def rover_consensus(
         raise ValueError("rover_consensus requires at least one text")
     lattice = build_lattice([tokenize(t, level) for t in texts])
     result = vote(lattice, level)
-    if len(texts) == 1:
-        return ConsensusResult(
-            text=texts[0], lattice=lattice, per_slot_winner=result.per_slot_winner
-        )
-    return result
+    return result._replace(text=texts[0]) if len(texts) == 1 else result
 
 
 def consensus_transcription(

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, MutableSequence, Sequence
 
-from .corpus import _TEST, _TRAIN, _VALIDATION, Corpus, ManifestError, Split
+from .corpus import (
+    _SPLIT_BY_NAME, _TEST, _TRAIN, _VALIDATION, Corpus, ManifestError, Split, _member
+)
 from .metrics import sym_char_distance
 
 #: Two human transcriptions closer than this (but not identical) validate.
@@ -96,11 +98,16 @@ def random_split(corpus: Corpus, sizes: tuple[int, int, int], seed: int) -> list
     return splits
 
 
-def split_counts(splits: Iterable[Split]) -> dict[Split, int]:
+def split_counts(splits: Iterable[Split | str]) -> dict[Split, int]:
+    """Items per split, a value counting as its member; another item raises ``ValueError``."""
     # ``list.count`` compares members by identity in C; a dict keyed by
     # member would call ``Enum.__hash__``, a Python function, per item.
     splits = list(splits)
-    return {split: splits.count(split) for split in Split}
+    counts = {split: splits.count(split) for split in Split}
+    if sum(counts.values()) < len(splits):  # a value, or not a split at all
+        rest = [_member(_SPLIT_BY_NAME, s, "unknown split") for s in splits if type(s) is not Split]
+        counts = {split: counts[split] + rest.count(split) for split in Split}
+    return counts
 
 
 def apply_split(corpus: Corpus, splits: Sequence[Split]) -> Corpus:

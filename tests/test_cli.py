@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import aggrescribe
 from aggrescribe import (
+    Granularity,
     ManifestError,
     Strategy,
     assemble,
@@ -825,6 +827,45 @@ def _piped_env() -> dict[str, str]:
     return env
 
 
+def _choices(flag: str, enum) -> str:
+    """A pattern for ``flag`` and its choices as help prints them: the values
+    of ``enum``'s members, in member order."""
+    return "usage: (?s:.*)" + re.escape(f"{flag} {{{','.join(m.value for m in enum)}}}")
+
+
+_HUMAN = {"text": "a", "source": "human"}
+
+#: Manifests of one line that fails validation, by file name, with the
+#: context and reason stderr gives. Three lines hold two faults each, where
+#: the order of the checks decides which one is reported.
+_INVALID = {
+    "three.jsonl": (
+        {"line_id": "L1", "image": "l1.png", "transcriptions": [_HUMAN] * 3},
+        "(line_id 'L1'): expected 1 or 2 human transcriptions, found 3",
+    ),
+    "twofault.jsonl": (
+        {"line_id": "L1", "image": "a\ud800.png", "transcriptions": [_HUMAN] * 3},
+        "(line_id 'L1'): 'image' contains an unpaired surrogate",
+    ),
+    "idorder.jsonl": (
+        {"line_id": "\ud800", "image": "l1.png", "transcriptions": [_HUMAN] * 3},
+        "(line_id '\\ud800'): 'line_id' contains an unpaired surrogate",
+    ),
+    "surrogate.jsonl": (
+        {"line_id": "L1", "image": "l1.png", "transcriptions": [{**_HUMAN, "text": "a\ud800b"}]},
+        "(line_id 'L1'): 'text' contains an unpaired surrogate",
+    ),
+    "pageid.jsonl": (
+        {"line_id": "L1", "image": "l1.png", "page_id": 5, "transcriptions": [_HUMAN]},
+        "(line_id 'L1'): 'page_id' must be a string",
+    ),
+    "order.jsonl": (
+        {"line_id": "L1", "transcriptions": [{"text": "a", "source": "auto:tesseract"}]},
+        "(line_id 'L1'): unknown source tag 'auto:tesseract'",
+    ),
+}
+
+
 class TestProcessEntry:
     @_ENTRIES
     @pytest.mark.parametrize(
@@ -836,13 +877,31 @@ class TestProcessEntry:
             (["frobnicate"], EXIT_USAGE, "", "invalid choice: 'frobnicate'"),
             (["validate", "bad.jsonl"], EXIT_VALIDATION, "", "manifest error: bad.jsonl:1"),
             (["stats", "missing.jsonl"], EXIT_IO, "", "i/o error:"),
+            (["emit", "--help"], EXIT_OK, _choices("--strategy", Strategy), ""),
+            (["aggregate", "--help"], EXIT_OK, _choices("--level", Granularity), ""),
+            (
+                ["aggregate", FIXTURE, "-o", "o.jsonl", "--method", "rover", "--level", "bogus"],
+                EXIT_USAGE,
+                "",
+                "argument --level: invalid choice: 'bogus'",
+            ),
+            *(
+                (["validate", name], EXIT_VALIDATION, "", f"manifest error: {name}:1 {reason}\n")
+                for name, (_, reason) in _INVALID.items()
+            ),
         ],
-        ids=["ok", "version", "help", "usage", "validation", "io"],
+        ids=[
+            "ok", "version", "help", "usage", "validation", "io", "strategy-choices",
+            "level-choices", "level-usage", *(name.removesuffix(".jsonl") for name in _INVALID),
+        ],
     )
     def test_exit_codes(self, tmp_path, entry, argv, code, out, err):
         # ``out`` is the whole stdout when empty or ending in a newline, and
-        # its start otherwise.
+        # otherwise a pattern its start must match. The manifests are written
+        # with ASCII escapes, so a lone surrogate is a \ud800-style escape.
         (tmp_path / "bad.jsonl").write_text('{"line_id": "A"}\n', encoding="utf-8")
+        for name, (record, _) in _INVALID.items():
+            (tmp_path / name).write_text(json.dumps(record) + "\n", encoding="ascii")
         proc = subprocess.run(
             [sys.executable, *entry, *map(str, argv)],
             cwd=tmp_path,
@@ -855,7 +914,7 @@ class TestProcessEntry:
         if not out or out.endswith("\n"):
             assert proc.stdout == out
         else:
-            assert proc.stdout.startswith(out) and proc.stdout.endswith("\n")
+            assert re.match(out, proc.stdout) and proc.stdout.endswith("\n")
         assert err in proc.stderr and proc.stderr.endswith("\n" if err else "")
 
     @_ENTRIES

@@ -5,9 +5,11 @@ Any record their constructors accept can be written, read back and emitted."""
 from __future__ import annotations
 
 import copy
+import inspect
 import itertools
 import json
 import pickle
+import re
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -88,6 +90,8 @@ CLASSES = list(samples())
 # Dicts inside a field make a record unhashable, as they made the frozen
 # dataclasses before.
 UNHASHABLE = {StatsReport, TokenLattice, ConsensusResult}
+# The records that hold no value rule, and so declare only their fields.
+RULELESS = [StatsReport, TokenLattice, ConsensusResult, RasaSelection]
 
 
 def make(cls):
@@ -103,10 +107,6 @@ def twin_class(cls):
 
     class Twin(Record):
         __slots__ = cls.__slots__
-
-        def __init__(self, *values):
-            for name, value in zip(self.__slots__, values):
-                object.__setattr__(self, name, value)
 
     return Twin
 
@@ -196,9 +196,37 @@ class TestDefaultsAndChecks:
 
     def test_missing_or_extra_arguments(self):
         with pytest.raises(TypeError):
-            RasaSelection(0, (1.0,), 1)
-        with pytest.raises(TypeError):
             TranscriptionSource(SourceKind.HUMAN, None, "extra")
+        # A record without value rules gets the constructor a ``def`` would
+        # be: its fields, in order, and Python's own argument errors.
+        for cls in RULELESS:
+            assert cls.__init__.__code__.co_filename == "<string>"  # compiled, not written
+            assert tuple(inspect.signature(cls).parameters) == cls.__slots__
+            assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+            values, first, last = make(cls)._values(), cls.__slots__[0], cls.__slots__[-1]
+            missing = f"{cls.__name__}.__init__() missing 1 required positional argument: '{last}'"
+            with pytest.raises(TypeError, match=f"^{re.escape(missing)}$"):
+                cls(*values[:-1])
+            with pytest.raises(TypeError, match=f"^{cls.__name__}.__init__.* were given$"):
+                cls(*values, "extra")
+            with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
+                cls(*values, **{first: values[0]})
+            with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+                cls(*values, extra=1)
+
+    def test_subclass_inherits_the_constructor(self):
+        # Only a record that neither writes nor inherits an ``__init__`` gets
+        # a compiled one, so a subclass keeps its base's rules.
+        class Source(TranscriptionSource):
+            pass
+
+        class Report(StatsReport):
+            pass
+
+        assert Source.__init__ is TranscriptionSource.__init__
+        with pytest.raises(ValueError, match="unknown source tag 'bogus'"):
+            Source("bogus")
+        assert Report.__init__ is StatsReport.__init__
 
     def test_replace_checks_again(self):
         with pytest.raises(ValueError, match="only allowed on human"):

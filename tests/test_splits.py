@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -196,6 +198,29 @@ class TestRandomSplit:
         assert random_split(corpus, sizes, seed) == [
             reference[line.line_id] for line in corpus.lines
         ]
+
+
+class TestSplitCounts:
+    def test_members_and_values_count_alike(self):
+        # A value counts as its member, as every record and apply_split take it.
+        assert split_counts(["train"]) == {Split.TRAIN: 1, Split.VALIDATION: 0, Split.TEST: 0}
+        mixed = [Split.TEST, "val", "train", Split.TRAIN, "test", "test"]
+        assert split_counts(mixed) == {Split.TRAIN: 2, Split.VALIDATION: 1, Split.TEST: 3}
+        assert split_counts(iter(mixed)) == split_counts(Split(s) for s in mixed)
+        assert split_counts([]) == {Split.TRAIN: 0, Split.VALIDATION: 0, Split.TEST: 0}
+
+    @pytest.mark.parametrize(
+        "item, shown",
+        [(None, "None"), ("TRAIN", "'TRAIN'"), ("bogus", "'bogus'"), (0, "0"), ([], "[]")],
+        ids=["none", "member-name", "unknown", "int", "unhashable"],
+    )
+    def test_anything_else_is_refused(self, item, shown):
+        # Never dropped: an item that is neither a member nor a value raises,
+        # wherever it stands among members.
+        with pytest.raises(ValueError, match=f"^unknown split {re.escape(shown)}$"):
+            split_counts([item])
+        with pytest.raises(ValueError, match=f"^unknown split {re.escape(shown)}$"):
+            split_counts([Split.TRAIN, "val", item, Split.TEST])
 
 
 class TestApplyAndRecover:
