@@ -32,7 +32,6 @@ from .corpus import (
     Transcription,
     TranscriptionSource,
     Corpus,
-    _set,
     atomic_write_text,
     canonical_transcriptions,
 )
@@ -57,10 +56,7 @@ class EmissionRecord(Record):
             split = _member(_SPLIT_BY_NAME, split, "unknown split")
         if source.__class__ is not TranscriptionSource:
             raise ValueError("'source' must be a TranscriptionSource")
-        _set(self, "image_ref", image_ref)
-        _set(self, "text", text)
-        _set(self, "split", split)
-        _set(self, "source", source)
+        self._set_fields(image_ref, text, split, source)
 
 
 def _aggregate(line: TranscribedLine, kind: SourceKind) -> Transcription:
@@ -74,15 +70,15 @@ def _aggregate(line: TranscribedLine, kind: SourceKind) -> Transcription:
 
 
 def _select(line: TranscribedLine, strategy: Strategy, rng: SeededRng) -> list[Transcription]:
-    humans = list(line.human_transcriptions)
     if strategy is _RANDOM_ONE:
+        humans = line.human_transcriptions
         return [humans[rng.randbelow(len(humans))]]
     if strategy is _RASA_ONE:
         return [_aggregate(line, _RASA)]
     if strategy is _ROVER_ONE:
         return [_aggregate(line, _ROVER)]
     if strategy is _ALL_HUMAN:
-        return humans
+        return list(line.human_transcriptions)
     if strategy is _ALL_HUMAN_AUTO:
         return list(canonical_transcriptions(line))
     # ALL_WITH_AGGREGATES: 1-2 human + autos + both aggregates, duplicates kept

@@ -141,35 +141,39 @@ def normalize_text(text: str) -> str:
     return _normalize(text)[0]
 
 
-#: How a record's ``__init__`` sets its fields past ``Record.__setattr__``.
-_set = object.__setattr__
-
-
 class Record:
     """Base of the package's immutable value types.
 
-    A subclass lists its fields, in order, as ``__slots__``. A record without
-    value rules declares nothing more and gets an ``__init__`` that takes and
-    sets each field; a record with rules writes its own ``__init__``, which
-    checks its fields and sets each through ``_set``. Records compare
-    equal only to records of the same class whose fields are equal, hash and
-    print by their fields, and refuse assignment with ``AttributeError``.
-    Unlike a ``NamedTuple`` a record is not a tuple: it neither iterates nor
-    equals one. ``_replace(**changes)``, and so every ``with_*`` method, builds a
+    A subclass lists its fields, in order, as ``__slots__``; from them
+    ``__init_subclass__`` compiles one function that sets each field. A
+    record without value rules declares nothing more and gets it as its
+    ``__init__``; a record with rules writes an ``__init__`` that checks its
+    fields and ends with one ``self._set_fields(...)`` call, in slot order.
+    Records compare equal only to records of the same class whose fields are
+    equal, hash and print by their fields, and refuse assignment with
+    ``AttributeError``. Unlike a ``NamedTuple`` a record is not a tuple: it
+    neither iterates nor equals one. ``_replace(**changes)``, and so every ``with_*`` method, builds a
     copy with some fields changed through ``__init__``: the checks run again.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        # The ``__init__`` a ``def`` would be, compiled as ``namedtuple`` compiles ``__new__``,
-        # for a record that neither writes nor inherits one.
-        if cls.__init__ is object.__init__:
-            sets = "".join(f"\n    _set(self, {name!r}, {name})" for name in cls.__slots__)
-            scope = {"_set": _set, "__name__": cls.__module__}
-            exec(f"def __init__(self, {', '.join(cls.__slots__)}):{sets}", scope)
-            cls.__init__ = scope["__init__"]
-            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        fields = cls.__dict__.get("__slots__", ())
+        if isinstance(fields, str):  # one slot to Python, but iterated as letters here
+            raise TypeError(f"{cls.__qualname__}.__slots__ must be a tuple of names, not a str")
+        if not fields:  # a subclass that adds no fields keeps its base's setter
+            return
+        # Compiled as ``namedtuple`` compiles ``__new__``: straight-line calls
+        # of each slot descriptor's ``__set__``, past ``Record.__setattr__``.
+        name = "__init__" if cls.__init__ is object.__init__ else "_set_fields"
+        scope = {f"_set_{field}": getattr(cls, field).__set__ for field in fields}
+        scope["__name__"] = cls.__module__
+        sets = "".join(f"\n    _set_{field}(self, {field})" for field in fields)
+        exec(f"def {name}(self, {', '.join(fields)}):{sets}", scope)
+        setter = scope[name]
+        setter.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, setter)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -215,8 +219,7 @@ class TranscriptionSource(Record):
             _check_text("annotator", annotator_id)
             if kind is not _HUMAN:
                 raise ValueError("annotator_id is only allowed on human transcriptions")
-        _set(self, "kind", kind)
-        _set(self, "annotator_id", annotator_id)
+        self._set_fields(kind, annotator_id)
 
 
 class Transcription(Record):
@@ -238,9 +241,7 @@ class Transcription(Record):
             raise ValueError("'source' must be a TranscriptionSource")
         if uncertain.__class__ is not bool:
             raise ValueError("'uncertain' must be a boolean")
-        _set(self, "text", cleaned)
-        _set(self, "source", source)
-        _set(self, "uncertain", uncertain)
+        self._set_fields(cleaned, source, uncertain)
 
 
 class TranscribedLine(Record):
@@ -291,12 +292,7 @@ class TranscribedLine(Record):
                 raise ValueError("'agreement' is too large for a float") from None
         if agreement is not None and not 0.0 <= agreement <= 100.0:  # NaN too
             raise ValueError(f"'agreement' must be in [0, 100], got {agreement}")
-        _set(self, "line_id", line_id)
-        _set(self, "image_ref", image_ref)
-        _set(self, "transcriptions", transcriptions)
-        _set(self, "page_id", page_id)
-        _set(self, "split", split)
-        _set(self, "agreement", agreement)
+        self._set_fields(line_id, image_ref, transcriptions, page_id, split, agreement)
 
     def of_kind(self, kind: SourceKind) -> tuple[Transcription, ...]:
         # A list, not a generator: ``tuple`` of a generator resumes it per item.
@@ -338,7 +334,7 @@ class Corpus(Record):
             if line.line_id in seen:
                 raise ValueError(f"duplicate line_id {line.line_id!r}")
             seen.add(line.line_id)
-        _set(self, "lines", lines)
+        self._set_fields(lines)
 
     def __len__(self) -> int:
         return len(self.lines)

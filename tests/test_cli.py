@@ -356,6 +356,18 @@ class TestPipeline:
         assert run("split", FIXTURE, "-o", b, "--mode", "random", "--seed", "9") == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_random_split_with_sizes(self, tmp_path, capsys):
+        a = tmp_path / "a.jsonl"
+        b = tmp_path / "b.jsonl"
+        for out in (a, b):
+            argv = ("--json", "split", FIXTURE, "-o", out, "--mode", "random", "--sizes", "30,12,8")
+            assert run(*argv, "--seed", "4") == EXIT_OK
+            summary = json.loads(capsys.readouterr().err)
+            assert (summary["counts"], summary["seed"]) == ({"train": 30, "val": 12, "test": 8}, 4)
+        splits_written = [line.split.value for line in parse_manifest(a)]
+        assert [splits_written.count(name) for name in ("train", "val", "test")] == [30, 12, 8]
+        assert a.read_bytes() == b.read_bytes()
+
     def test_random_split_default_sizes_match_agreement(self, tmp_path, capsys):
         agreement = tmp_path / "agreement.jsonl"
         random = tmp_path / "random.jsonl"

@@ -92,6 +92,8 @@ CLASSES = list(samples())
 UNHASHABLE = {StatsReport, TokenLattice, ConsensusResult}
 # The records that hold no value rule, and so declare only their fields.
 RULELESS = [StatsReport, TokenLattice, ConsensusResult, RasaSelection]
+# The records that write an ``__init__`` and so get a ``_set_fields``.
+RULED = [cls for cls in CLASSES if cls not in RULELESS]
 
 
 def make(cls):
@@ -163,6 +165,10 @@ class TestRecordSemantics:
         for name in cls.__slots__:
             assert f"{name}={getattr(a, name)!r}" in text
 
+    def test_signature_is_the_slots(self, cls):
+        # A record with rules passes its arguments to ``_set_fields`` in this order.
+        assert tuple(inspect.signature(cls).parameters) == cls.__slots__
+
     def test_keyword_construction_equals_positional(self, cls):
         a = make(cls)
         assert cls(**dict(zip(cls.__slots__, a._values()))) == a
@@ -201,7 +207,6 @@ class TestDefaultsAndChecks:
         # be: its fields, in order, and Python's own argument errors.
         for cls in RULELESS:
             assert cls.__init__.__code__.co_filename == "<string>"  # compiled, not written
-            assert tuple(inspect.signature(cls).parameters) == cls.__slots__
             assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
             values, first, last = make(cls)._values(), cls.__slots__[0], cls.__slots__[-1]
             missing = f"{cls.__name__}.__init__() missing 1 required positional argument: '{last}'"
@@ -214,6 +219,33 @@ class TestDefaultsAndChecks:
             with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
                 cls(*values, extra=1)
 
+    def test_records_with_rules_get_a_compiled_setter(self):
+        assert [cls for cls in CLASSES if hasattr(cls, "_set_fields")] == RULED
+        for cls in RULED:
+            a = make(cls)
+            values, n = a._values(), len(cls.__slots__)
+            with pytest.raises(TypeError, match=f"^{cls.__name__}._set_fields\\(\\) missing 1 "):
+                a._set_fields(*values[:-1])
+            given = f"takes {n + 1} positional arguments but {n + 2} were given$"
+            with pytest.raises(TypeError, match=f"^{cls.__name__}._set_fields\\(\\) {given}"):
+                a._set_fields(*values, "extra")
+            assert a == make(cls)
+
+    def test_record_without_fields(self):
+        class Marker(Record):
+            __slots__ = ()
+
+        assert Marker() == Marker() and repr(Marker()).endswith(".Marker()")
+        with pytest.raises(TypeError):
+            Marker(1)
+
+    def test_str_slots_refused(self):
+        # One slot to Python, which the record would take for one per letter.
+        refusal = r"\.Named\.__slots__ must be a tuple of names, not a str$"
+        with pytest.raises(TypeError, match=refusal):
+            class Named(Record):
+                __slots__ = "name"
+
     def test_subclass_inherits_the_constructor(self):
         # Only a record that neither writes nor inherits an ``__init__`` gets
         # a compiled one, so a subclass keeps its base's rules.
@@ -224,8 +256,10 @@ class TestDefaultsAndChecks:
             pass
 
         assert Source.__init__ is TranscriptionSource.__init__
+        assert Source._set_fields is TranscriptionSource._set_fields
         with pytest.raises(ValueError, match="unknown source tag 'bogus'"):
             Source("bogus")
+        assert Source("human", "u1").annotator_id == "u1"
         assert Report.__init__ is StatsReport.__init__
 
     def test_replace_checks_again(self):
