@@ -14,13 +14,13 @@ from aggrescribe import (
     Strategy,
     agreement_split,
     apply_split,
+    consensus_transcription,
     emit,
     parse_manifest,
+    selected_transcription,
     split_counts,
     write_ground_truth,
 )
-from aggrescribe.rasa import selected_transcription
-from aggrescribe.rover import consensus_transcription
 
 manifest = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "synthetic_50.jsonl"
 corpus = parse_manifest(manifest)

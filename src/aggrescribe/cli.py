@@ -193,7 +193,6 @@ class _Stage:
     def __init__(self, args: argparse.Namespace) -> None:
         self.args = args
         self.laps = {"parse_s": 0.0, "compute_s": 0.0, "write_s": 0.0}
-        self.wrote = False
         self._last = time.perf_counter()
         self.corpus = parse_manifest(args.manifest)
         self.lap("parse_s")
@@ -209,13 +208,13 @@ class _Stage:
         self.lap("compute_s")
         write_manifest(corpus, self.args.output)
         self.lap("write_s")
-        self.wrote = True
 
     def summary(self, **fields) -> dict:
-        """The command's summary: its name, ``fields``, the output manifest
-        if one was written, and the timings over the input lines."""
+        """The command's summary: its name, ``fields``, the ``-o`` manifest
+        of a command that has one, which it has written by now, and the
+        timings over the input lines."""
         summary = {"command": self.args.command, **fields}
-        if self.wrote:
+        if "output" in self.args:
             summary["output"] = str(self.args.output)
         total = sum(self.laps.values())
         lines_per_s = len(self.corpus) / total if total else 0.0
@@ -252,13 +251,16 @@ def _print_table(rows: Sequence[tuple[str, str]]) -> None:
         print(f"{label:<{width}}  {value}")
 
 
+#: Each split's label in the printed tables, in ``Split`` member order.
+_SPLIT_NAMES = {Split.TRAIN: "Train", Split.VALIDATION: "Validation", Split.TEST: "Test"}
+
+
 def _split_table(counts: dict[Split, int]) -> list[tuple[str, str]]:
     total = sum(counts.values())
-    names = {Split.TRAIN: "Train", Split.VALIDATION: "Validation", Split.TEST: "Test"}
     rows = [("Split", "Number  Percentage (%)")]
-    for split in (Split.TRAIN, Split.VALIDATION, Split.TEST):
+    for split, name in _SPLIT_NAMES.items():
         share = 100.0 * counts[split] / total if total else 0.0
-        rows.append((names[split], f"{counts[split]:>6}  {share:.1f}"))
+        rows.append((name, f"{counts[split]:>6}  {share:.1f}"))
     rows.append(("Total", f"{total:>6}  100.0" if total else f"{total:>6}  0.0"))
     return rows
 
@@ -407,14 +409,8 @@ def cmd_emit(args: argparse.Namespace) -> dict:
     summary = {"strategy": args.strategy, "seed": args.seed, "counts": counts}
     atomic_write_text(Path(args.out) / "summary.json", json.dumps(summary) + "\n")
     stage.lap("write_s")
-    _print_table(
-        [
-            ("Strategy", args.strategy),
-            ("Train records", f"{counts['train']}"),
-            ("Validation records", f"{counts['val']}"),
-            ("Test records", f"{counts['test']}"),
-        ]
-    )
+    rows = [(f"{_SPLIT_NAMES[split]} records", f"{counts[split.value]}") for split in Split]
+    _print_table([("Strategy", args.strategy), *rows])
     return stage.summary(out=str(args.out), **summary)
 
 

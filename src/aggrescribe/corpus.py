@@ -144,11 +144,13 @@ def normalize_text(text: str) -> str:
 class Record:
     """Base of the package's immutable value types.
 
-    A subclass lists its fields, in order, as ``__slots__``; from them
-    ``__init_subclass__`` compiles one function that sets each field. A
-    record without value rules declares nothing more and gets it as its
-    ``__init__``; a record with rules writes an ``__init__`` that checks its
-    fields and ends with one ``self._set_fields(...)`` call, in slot order.
+    Records are final; each declares all its fields in its own
+    ``__slots__``, in order: ``__init_subclass__`` refuses a class that
+    extends another record or declares no ``__slots__``, and compiles one
+    function that sets each field. A record without value rules declares
+    nothing more and gets it as its ``__init__``; a record with rules writes
+    an ``__init__`` that checks its fields and ends with one
+    ``self._set_fields(...)`` call, in slot order.
     Records compare equal only to records of the same class whose fields are
     equal, hash and print by their fields, and refuse assignment with
     ``AttributeError``. Unlike a ``NamedTuple`` a record is not a tuple: it
@@ -159,17 +161,20 @@ class Record:
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        fields = cls.__dict__.get("__slots__", ())
+        for base in cls.__bases__:
+            if base is not Record and issubclass(base, Record):
+                raise TypeError(f"{cls.__qualname__} extends {base.__qualname__}, a final record")
+        if "__slots__" not in cls.__dict__:  # its instances would get a __dict__
+            raise TypeError(f"{cls.__qualname__} must declare its fields in __slots__")
+        fields = cls.__slots__
         if isinstance(fields, str):  # one slot to Python, but iterated as letters here
             raise TypeError(f"{cls.__qualname__}.__slots__ must be a tuple of names, not a str")
-        if not fields:  # a subclass that adds no fields keeps its base's setter
-            return
         # Compiled as ``namedtuple`` compiles ``__new__``: straight-line calls
         # of each slot descriptor's ``__set__``, past ``Record.__setattr__``.
         name = "__init__" if cls.__init__ is object.__init__ else "_set_fields"
         scope = {f"_set_{field}": getattr(cls, field).__set__ for field in fields}
         scope["__name__"] = cls.__module__
-        sets = "".join(f"\n    _set_{field}(self, {field})" for field in fields)
+        sets = "".join(f"\n    _set_{field}(self, {field})" for field in fields) or " pass"
         exec(f"def {name}(self, {', '.join(fields)}):{sets}", scope)
         setter = scope[name]
         setter.__qualname__ = f"{cls.__qualname__}.{name}"

@@ -246,21 +246,16 @@ class TestDefaultsAndChecks:
             class Named(Record):
                 __slots__ = "name"
 
-    def test_subclass_inherits_the_constructor(self):
-        # Only a record that neither writes nor inherits an ``__init__`` gets
-        # a compiled one, so a subclass keeps its base's rules.
-        class Source(TranscriptionSource):
-            pass
-
-        class Report(StatsReport):
-            pass
-
-        assert Source.__init__ is TranscriptionSource.__init__
-        assert Source._set_fields is TranscriptionSource._set_fields
-        with pytest.raises(ValueError, match="unknown source tag 'bogus'"):
-            Source("bogus")
-        assert Source("human", "u1").annotator_id == "u1"
-        assert Report.__init__ is StatsReport.__init__
+    def test_records_are_final(self):
+        # A subclass would inherit a setter, and a field list, that miss
+        # the fields it adds, and every record-typed field refuses it.
+        bodies = ({}, {"__slots__": ()}, {"__slots__": ("extra",)})
+        for cls, body in itertools.product(CLASSES, bodies):
+            with pytest.raises(TypeError, match=f"^Sub extends {cls.__name__}, a final record$"):
+                type("Sub", (cls,), body)
+        with pytest.raises(TypeError, match=r"\.Bare must declare its fields in __slots__$"):
+            class Bare(Record):
+                pass
 
     def test_replace_checks_again(self):
         with pytest.raises(ValueError, match="only allowed on human"):
